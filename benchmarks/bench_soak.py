@@ -4,16 +4,23 @@ Not a paper artifact — the performance contract of the struct-of-arrays
 refactor (``repro.serving.columnar``, ``docs/serving.md``):
 
 * **Microbench** — the same single-server Platform 1 deployment is
-  driven with the same open-loop Poisson workload through the
-  per-request object path (:class:`~repro.serving.driver.LoadDriver`,
-  one ``PredictRequest`` dataclass per submission) and through the
-  columnar path (:class:`~repro.serving.driver.ColumnarLoadDriver`,
-  arrivals built directly as ``RequestBatch`` columns), as
-  :data:`MICRO_PAIRS` interleaved pairs.  The best pairwise ratio must
-  reach :data:`MIN_SPEEDUP` (20x) and the columnar leg must clear a
-  conservative absolute floor so an environment-wide slowdown still
-  fails loudly; the 100k wall-QPS design target is measured and
-  reported (``meets_target_qps``).
+  driven with the same open-loop Poisson workload through the columnar
+  surface (:class:`~repro.serving.driver.ColumnarLoadDriver`, arrivals
+  built directly as ``RequestBatch`` columns) and through the
+  per-request protocol (:class:`~repro.serving.driver.LoadDriver`, one
+  ``PredictRequest`` dataclass per submission), as :data:`MICRO_PAIRS`
+  interleaved pairs.  Both surfaces feed the same engine, so their
+  ratio no longer measures a second code path; the per-request QPS is
+  reported, not gated.  The columnar leg is gated twice: on an absolute
+  wall-QPS floor (an environment-wide slowdown still fails loudly) and
+  on its **plumbing share** — the fraction of its wall time spent
+  *outside* plan evaluation (``CompiledExpr.evaluate``) and parameter
+  sampling (``PredictionServer._draw``), both timed with
+  ``perf_counter`` by wrappers installed here.  A uniformly slower
+  machine slows math and plumbing alike, so the share is robust across
+  machines where a raw QPS ratio is not; a regression in admission,
+  batching or delivery raises it.  The 100k wall-QPS design target is
+  measured and reported (``meets_target_qps``).
 * **Soak** — :data:`SOAK_REQUESTS` requests (1M by default; CI's
   ``soak-smoke`` job scales down via ``REPRO_SOAK_REQUESTS``) flow
   through a 4-worker sharded cluster in one run.  Delivery must be
@@ -30,6 +37,7 @@ machine.
 import json
 import os
 import time
+from contextlib import contextmanager
 
 from conftest import emit
 
@@ -43,14 +51,23 @@ from repro.serving import (
     demo_cluster,
     demo_server,
 )
+from repro.serving.server import PredictionServer
+from repro.structural.engine import CompiledExpr
 from repro.util.tables import format_table
 
 SEED = 11
 RATE = 900.0  # offered load, requests per simulated second (server capacity ~992/s)
 MICRO_COLUMNAR_REQUESTS = 50_000
-MICRO_SCALAR_REQUESTS = 5_000  # rate-based comparison; 50k scalar would take minutes
-MICRO_PAIRS = 3  # interleaved (columnar, scalar) pairs; best ratio gated
-MIN_SPEEDUP = 20.0
+MICRO_SCALAR_REQUESTS = 5_000  # per-request leg, reported only (rate-based)
+MICRO_PAIRS = 3  # interleaved (columnar, per-request) pairs; best share gated
+# The plumbing-share bound is the worst of ten runs of this file's
+# columnar leg, each in a fresh process, on the server as it stood just
+# before its per-request event loop was folded into the columnar one
+# (2-vCPU x86-64 host, Python 3.11, NumPy 2.x).  The ten shares:
+BASELINE_PLUMBING_SHARES = (
+    0.4053, 0.4143, 0.3992, 0.4019, 0.3905, 0.4123, 0.4000, 0.3839, 0.4011, 0.3971,
+)
+MAX_PLUMBING_SHARE = max(BASELINE_PLUMBING_SHARES)
 TARGET_COLUMNAR_QPS = 100_000.0  # the design target, measured and reported
 MIN_COLUMNAR_QPS = 25_000.0  # absolute wall-clock floor, deliberately conservative
 
@@ -83,6 +100,35 @@ def _leg(report, wall):
     }
 
 
+class _MathClock:
+    """Wall seconds spent inside plan evaluation and parameter sampling."""
+
+    def __init__(self):
+        self.seconds = 0.0
+
+    def _timed(self, fn):
+        clock = time.perf_counter
+
+        def wrapper(*args, **kwargs):
+            t0 = clock()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.seconds += clock() - t0
+
+        return wrapper
+
+    @contextmanager
+    def installed(self):
+        evaluate, draw = CompiledExpr.evaluate, PredictionServer._draw
+        CompiledExpr.evaluate = self._timed(evaluate)
+        PredictionServer._draw = self._timed(draw)
+        try:
+            yield self
+        finally:
+            CompiledExpr.evaluate, PredictionServer._draw = evaluate, draw
+
+
 def _columnar_leg():
     server, _, _ = demo_server(config=_server_config(), rng=SEED)
     driver = ColumnarLoadDriver(
@@ -92,9 +138,11 @@ def _columnar_leg():
         max_requests=MICRO_COLUMNAR_REQUESTS,
         rng=SEED,
     )
-    t0 = time.perf_counter()
-    report = driver.run()
-    return report, time.perf_counter() - t0
+    with _MathClock().installed() as math:
+        t0 = time.perf_counter()
+        report = driver.run()
+        wall = time.perf_counter() - t0
+    return report, wall, (wall - math.seconds) / wall
 
 
 def _scalar_leg():
@@ -111,23 +159,21 @@ def _scalar_leg():
     return report, time.perf_counter() - t0
 
 
-def test_columnar_microbench_speedup(out_dir):
-    # Interleaved (columnar, scalar) pairs, gating the best pairwise
-    # ratio — the bench_tracing idiom: back-to-back pairing cancels
-    # machine drift, and the extreme over pairs is robust against
-    # per-run scheduler noise while a genuine regression still drags
-    # every pair below the gate.
+def test_columnar_microbench_plumbing_share(out_dir):
+    # Interleaved (columnar, per-request) pairs, gating the best
+    # columnar share — the bench_tracing idiom: the extreme over pairs
+    # is robust against per-run scheduler noise while a genuine
+    # plumbing regression still drags every pair over the bound.
     pairs = []
     for _ in range(MICRO_PAIRS):
-        rep_c, wall_c = _columnar_leg()
+        rep_c, wall_c, share = _columnar_leg()
         rep_s, wall_s = _scalar_leg()
-        pairs.append((rep_c, wall_c, rep_s, wall_s))
+        pairs.append((rep_c, wall_c, share, rep_s, wall_s))
 
-    ratios = [c.qps_wall / s.qps_wall for c, _, s, _ in pairs]
-    speedup = max(ratios)
-    best = max(range(len(pairs)), key=lambda i: ratios[i])
-    rep_c, wall_c, rep_s, wall_s = pairs[best]
-    best_columnar_qps = max(c.qps_wall for c, _, _, _ in pairs)
+    shares = [share for _, _, share, _, _ in pairs]
+    best = min(range(len(pairs)), key=lambda i: shares[i])
+    rep_c, wall_c, share, rep_s, wall_s = pairs[best]
+    best_columnar_qps = max(c.qps_wall for c, _, _, _, _ in pairs)
 
     emit(
         f"Columnar vs per-request serving at {RATE:.0f} q/s offered "
@@ -140,8 +186,8 @@ def test_columnar_microbench_speedup(out_dir):
                 for name, r in (("columnar", rep_c), ("per-request", rep_s))
             ],
         )
-        + f"\nspeedup: {speedup:.1f}x (gate: >= {MIN_SPEEDUP}x, "
-        f"pairs: {', '.join(f'{r:.1f}x' for r in ratios)}), "
+        + f"\ncolumnar plumbing share: {share:.3f} (gate: <= {MAX_PLUMBING_SHARE:.3f}, "
+        f"pairs: {', '.join(f'{x:.3f}' for x in shares)}), "
         f"columnar floor: >= {MIN_COLUMNAR_QPS:,.0f} q/s, "
         f"target: {TARGET_COLUMNAR_QPS:,.0f} q/s",
     )
@@ -152,9 +198,10 @@ def test_columnar_microbench_speedup(out_dir):
         "pairs": MICRO_PAIRS,
         "columnar": _leg(rep_c, wall_c),
         "per_request": _leg(rep_s, wall_s),
-        "speedup_wall": speedup,
-        "speedup_pairs": ratios,
-        "min_speedup": MIN_SPEEDUP,
+        "plumbing_share": share,
+        "plumbing_share_pairs": shares,
+        "max_plumbing_share": MAX_PLUMBING_SHARE,
+        "baseline_plumbing_shares": list(BASELINE_PLUMBING_SHARES),
         "min_columnar_qps": MIN_COLUMNAR_QPS,
         "target_columnar_qps": TARGET_COLUMNAR_QPS,
         "meets_target_qps": best_columnar_qps >= TARGET_COLUMNAR_QPS,
@@ -165,13 +212,13 @@ def test_columnar_microbench_speedup(out_dir):
     out.write_text(json.dumps(doc, indent=2))
 
     # Correctness riders: every leg answers everything, losslessly.
-    for rep_ci, _, rep_si, _ in pairs:
+    for rep_ci, _, _, rep_si, _ in pairs:
         assert rep_ci.lost == 0 and rep_ci.duplicates == 0
         assert rep_ci.errors == 0 and rep_si.errors == 0
         assert rep_ci.ok + rep_ci.shed == MICRO_COLUMNAR_REQUESTS
         assert rep_si.ok + rep_si.shed == MICRO_SCALAR_REQUESTS
 
-    assert speedup >= MIN_SPEEDUP
+    assert share <= MAX_PLUMBING_SHARE
     assert best_columnar_qps >= MIN_COLUMNAR_QPS
 
 

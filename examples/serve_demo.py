@@ -31,7 +31,7 @@ def main() -> None:
     # --- 1. One request against the live server -------------------------
     server, _, _ = demo_server(rng=11)
     request = PredictRequest(
-        request_id="r-1", client_id="scheduler", model="sor-1600",
+        request_id=1, client_id="scheduler", model="sor-1600",
         submitted=server.now,
     )
     server.submit(request)

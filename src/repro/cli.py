@@ -747,92 +747,6 @@ def _cmd_scenarios(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _cmd_bench_cluster(args) -> int:
-    from repro.serving import ClosedLoop, ClusterConfig, LoadDriver, ServerConfig, demo_cluster
-    from repro.structural.engine import clear_plan_cache
-
-    # A worker config slow enough that args.clients closed-loop clients
-    # saturate a single worker, so aggregate capacity is what scales.
-    worker = ServerConfig(
-        service_time_base=0.02, service_time_per_request=0.005, batch_max=8
-    )
-    sizes = tuple(range(400, 2000, 200))
-
-    def drive(n_workers: int):
-        clear_plan_cache()
-        cluster, _, _ = demo_cluster(
-            sizes=sizes,
-            config=ClusterConfig(
-                n_workers=n_workers, replication=args.replication, worker=worker
-            ),
-            rng=args.seed,
-        )
-        driver = LoadDriver(
-            cluster,
-            cluster.models,
-            ClosedLoop(clients=args.clients),
-            max_requests=args.requests,
-            rng=args.seed,
-        )
-        return driver.run()
-
-    single = drive(1)
-    scaled = drive(args.workers)
-    scaling = scaled.qps_sim / single.qps_sim if single.qps_sim else float("inf")
-    print(
-        format_table(
-            ["workers", "ok", "shed", "errors", "p50 (s)", "p99 (s)", "sim q/s"],
-            [
-                [n, r.ok, r.shed, r.errors, f"{r.latency_p50:.4f}",
-                 f"{r.latency_p99:.4f}", f"{r.qps_sim:,.0f}"]
-                for n, r in ((1, single), (args.workers, scaled))
-            ],
-            title=f"Cluster scaling at {args.clients} closed-loop clients (seed {args.seed})",
-        )
-    )
-    print(f"\n{args.workers}-worker vs 1-worker simulated throughput: {scaling:.2f}x")
-    ok = (
-        scaling >= args.min_scaling
-        and single.errors == 0
-        and scaled.errors == 0
-    )
-    return 0 if ok else 1
-
-
-def _cmd_bench_serve(args) -> int:
-    from repro.serving import ClosedLoop, LoadDriver, ServerConfig, demo_server
-    from repro.structural.engine import clear_plan_cache
-
-    def drive(mode: str, requests: int):
-        clear_plan_cache()
-        server, _, _ = demo_server(config=ServerConfig(mode=mode), rng=args.seed)
-        driver = LoadDriver(
-            server,
-            server.models,
-            ClosedLoop(clients=args.clients),
-            max_requests=requests,
-            rng=args.seed,
-        )
-        return driver.run()
-
-    batched = drive("batched", args.requests)
-    reference = drive("reference", max(args.clients, args.requests // args.ref_divisor))
-    speedup = batched.qps_wall / reference.qps_wall if reference.qps_wall else float("inf")
-    print(
-        format_table(
-            ["mode", "requests", "ok", "p50 (s)", "p99 (s)", "wall q/s", "sim q/s"],
-            [
-                [m, r.submitted, r.ok, f"{r.latency_p50:.4f}", f"{r.latency_p99:.4f}",
-                 f"{r.qps_wall:,.0f}", f"{r.qps_sim:,.0f}"]
-                for m, r in (("batched", batched), ("reference", reference))
-            ],
-            title=f"Serving throughput at {args.clients} closed-loop clients (seed {args.seed})",
-        )
-    )
-    print(f"\nbatched vs reference wall throughput: {speedup:.1f}x")
-    return 0 if speedup >= args.min_speedup and batched.errors == 0 else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The repro CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -1039,29 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="placement policy (default: bake off all three)")
     p.add_argument("--json", action="store_true", help="dump the scenario reports")
     p.set_defaults(func=_cmd_scenarios)
-
-    p = sub.add_parser("bench-cluster", help="multi-worker vs single-worker throughput scaling")
-    p.add_argument("--workers", type=int, default=4)
-    p.add_argument("--replication", type=int, default=2)
-    p.add_argument("--requests", type=int, default=3000)
-    p.add_argument("--clients", type=int, default=256)
-    p.add_argument("--min-scaling", type=float, default=3.0)
-    p.add_argument("--seed", type=int, default=11)
-    p.set_defaults(func=_cmd_bench_cluster)
-
-    p = sub.add_parser(
-        "bench-serve",
-        help="serving throughput: the vectorised batched path (fused "
-        "multi-request evaluations on cached plans) vs the per-request "
-        "reference loop",
-    )
-    p.add_argument("--requests", type=int, default=2000)
-    p.add_argument("--clients", type=int, default=64)
-    p.add_argument("--ref-divisor", type=int, default=8,
-                   help="reference leg runs requests/ref-divisor requests")
-    p.add_argument("--min-speedup", type=float, default=5.0)
-    p.add_argument("--seed", type=int, default=11)
-    p.set_defaults(func=_cmd_bench_serve)
 
     p = sub.add_parser("advise", help="SOR decomposition advice on Platform 2")
     p.add_argument("--size", type=int, default=1600)

@@ -18,8 +18,8 @@ pipeline into a long-running service:
   (degrade tolerances before turning requests away);
 * :mod:`repro.serving.columnar` — struct-of-arrays request/response
   batches with lazy protocol views and vectorised admission: the
-  array-native hot path behind ``submit_batch``/``step_batch`` (see
-  ``docs/serving.md``);
+  representation of the one worker engine behind ``submit_batch``/
+  ``step_batch`` (see ``docs/serving.md``);
 * :mod:`repro.serving.metrics` — counters/gauges/histograms snapshotable
   as JSON;
 * :mod:`repro.serving.driver` — seeded open/closed-loop load generation;

@@ -25,9 +25,10 @@ This module is the array-native core that removes it:
   (property-tested in ``tests/test_columnar.py``).
 
 Ragged per-request payloads (override dicts, precision targets) do not
-vectorise; they ride as optional tuple sidecars, and the server routes
-requests that carry them through the scalar path (see
-``docs/serving.md`` for exactly when the scalar path still runs).
+vectorise; they ride as optional tuple sidecars, and the server's one
+evaluator reads them per batch: overridden parameters get per-row
+draws, precision targets switch the batch to adaptive sampling (see
+``docs/serving.md``, "One engine").
 
 Deadlines are stored as ``float64`` with ``+inf`` standing in for
 "wait forever", so deadline checks are a single array comparison.  The
@@ -227,7 +228,7 @@ class RequestBatch:
         return (self.request(i) for i in range(len(self)))
 
     def to_requests(self) -> list[PredictRequest]:
-        """Every row materialised (tests and scalar fallbacks only)."""
+        """Every row materialised (tests, and a crashed worker's queue)."""
         return [self.request(i) for i in range(len(self))]
 
     def select(self, index) -> "RequestBatch":
@@ -251,18 +252,6 @@ class RequestBatch:
             if self.precision is None
             else tuple(self.precision[i] for i in index),
         )
-
-    @property
-    def has_ragged(self) -> np.ndarray:
-        """Mask of rows carrying overrides or precision sidecar payloads."""
-        mask = np.zeros(len(self), dtype=bool)
-        if self.overrides is not None:
-            mask |= np.fromiter((bool(o) for o in self.overrides), dtype=bool, count=len(self))
-        if self.precision is not None:
-            mask |= np.fromiter(
-                (p is not None for p in self.precision), dtype=bool, count=len(self)
-            )
-        return mask
 
     @classmethod
     def concat(cls, batches) -> "RequestBatch":
@@ -408,7 +397,7 @@ class ResponseBatch:
 
     @classmethod
     def from_responses(cls, responses) -> "ResponseBatch":
-        """Columnise scalar responses (the scalar-fallback merge path)."""
+        """Columnise typed response objects (per-request routing paths)."""
         responses = list(responses)
         n = len(responses)
         client, clients = _intern([r.client_id for r in responses])
@@ -646,8 +635,8 @@ def admit_batch(
     (``queue_full``/``throttled``).  Feeding the same request stream
     through ``controller.admit`` one at a time yields the same verdicts
     *and* leaves the controller's token buckets in the same state —
-    that equivalence is what lets the server switch between the scalar
-    and columnar paths freely.
+    that equivalence is what lets ``submit(request)`` be a one-row
+    ``submit_batch``.
 
     The scalar controller's sequential coupling (queue depth moves as
     requests are admitted; buckets refill lazily per submission) is

@@ -1,9 +1,9 @@
 """A ready-made serving deployment over a simulated platform.
 
-Shared by the ``repro serve`` / ``repro bench-serve`` CLI commands, the
-serving benchmark, the chaos soak test and ``examples/serve_demo.py``:
-a Platform 1 style cluster with per-machine CPU sensors and a shared
-network-availability sensor feeding the NWS, plus a family of SOR
+Shared by the ``repro serve`` CLI command, the serving benchmarks, the
+chaos soak test and ``examples/serve_demo.py``: a Platform 1 style
+cluster with per-machine CPU sensors and a shared network-availability
+sensor feeding the NWS, plus a family of SOR
 models at several problem sizes registered against one shared
 expression (they differ only in bindings, so every model hits the same
 compiled plan).

@@ -78,7 +78,8 @@ class PredictRequest:
     Attributes
     ----------
     request_id:
-        Client-unique identifier echoed back on the response.
+        Client-unique integer identifier echoed back on the response
+        (the server keeps ids as an ``int64`` column).
     client_id:
         Identity the per-client token bucket meters.
     model:

@@ -2,29 +2,33 @@
 
 :class:`PredictionServer` is the first component that exercises the
 whole NWS -> structural-engine -> scheduler pipeline *as a service*
-rather than a script.  It is driven entirely in simulated time by two
-calls:
+rather than a script.  It is driven entirely in simulated time, through
+one engine with two surfaces:
 
-``submit(request)``
-    Admission control (bounded queue, per-client token bucket).  A shed
-    or malformed request gets its typed response immediately; an
-    admitted one joins the FIFO queue and returns ``None``.
+``submit_batch(batch)`` / ``step_batch(to)``
+    The engine.  ``submit_batch`` validates every row of a
+    :class:`~repro.serving.columnar.RequestBatch`, runs admission control
+    (bounded queue, per-client token bucket) in a few array passes,
+    answers malformed or shed rows immediately and queues the rest.
+    ``step_batch`` is the event loop: while the server has capacity
+    before ``to``, it sheds queued rows whose deadline has passed, forms
+    a **batch** of queued rows against the same model, and answers the
+    whole batch with one vectorised Monte Carlo evaluation on the
+    model's compiled plan (one compile, many queries).  Completed
+    answers are returned in completion order as a
+    :class:`~repro.serving.columnar.ResponseBatch`.
 
-``step(to)``
-    The event loop body: while the server has capacity before ``to``,
-    it ingests telemetry up to the service instant, sheds queued
-    requests whose deadline has passed, forms a **batch** of queued
-    requests against the same model, and answers the whole batch with a
-    single vectorised Monte Carlo evaluation on the model's cached
-    compiled plan (one compile, many queries).  Completed responses are
-    returned in completion order.
+``submit(request)`` / ``step(to)``
+    The per-request protocol, a thin view over the same engine: a
+    request is a one-row batch, and stepping returns the answers as
+    typed response objects.
 
 Batching works because per-request variation lives entirely in the
 *run-time* parameters: every run-time parameter referenced by the model
-is treated as sampled, so a batch of K requests concatenates its
-per-request draw arrays (K x n_samples) and flows through the compiled
-plan in one array pass — requests with different forecast instants or
-per-request overrides still share the plan.
+is treated as sampled, so a batch of K rows draws a K x n_samples block
+per parameter and flows through the compiled plan in one array pass —
+rows with per-request overrides still share the plan (see
+``docs/serving.md``, "One engine").
 
 Capacity is modelled in simulated time: a batch of K requests occupies
 the server for ``service_time_base + K * service_time_per_request``
@@ -36,9 +40,6 @@ quality tags every answer carries.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -46,7 +47,7 @@ import numpy as np
 from repro.calib.loop import CalibrationConfig, CalibrationLoop
 from repro.core.empirical import EmpiricalValue
 from repro.core.stochastic import StochasticValue, as_stochastic
-from repro.nws.service import QUALITIES, NetworkWeatherService, QualifiedForecast
+from repro.nws.service import QUALITIES, NetworkWeatherService
 from repro.obs.tracer import STAGE_SERVING, STAGE_STRUCTURAL, as_tracer
 from repro.serving.admission import AdmissionController, AdmissionPolicy
 from repro.serving.columnar import (
@@ -63,7 +64,6 @@ from repro.serving.protocol import (
     DEGRADED_QUEUE_PRESSURE,
     SHED_DEADLINE,
     ErrorResponse,
-    OverloadedResponse,
     PrecisionInfo,
     PredictRequest,
     PredictResponse,
@@ -99,6 +99,7 @@ _DRAWS_BUCKETS = (16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0)
 
 #: Columnar status / reason codes (indexes into the protocol tables).
 _ST_OVERLOADED = STATUSES.index("overloaded")
+_ST_ERROR = STATUSES.index("error")
 _RE_DEADLINE = REASONS.index(SHED_DEADLINE)
 
 
@@ -268,12 +269,67 @@ class ServerConfig:
         return k / self.service_time(k)
 
 
-def _worst_quality(qualities) -> str:
-    """The most degraded tag in ``qualities`` (``fresh`` when empty)."""
-    worst = 0
-    for q in qualities:
-        worst = max(worst, QUALITIES.index(q))
-    return QUALITIES[worst]
+def _consulted(shared: dict, overrides) -> tuple[int, float]:
+    """Worst quality code and oldest staleness of the forecasts a row used.
+
+    A row consults every shared forecast it does not override; with none
+    consulted the answer is ``fresh`` and zero seconds stale.
+    """
+    used = [f for p, f in shared.items() if p not in overrides]
+    quality = max((QUALITIES.index(f.quality) for f in used), default=0)
+    return quality, max((f.staleness for f in used), default=0.0)
+
+
+def _summarise(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row mean, 2σ spread and p95 of a batch's draw clouds.
+
+    ``samples`` is a ``(k, n)`` matrix (fixed budget: axis-1 reductions)
+    or a list of rows of differing lengths (adaptive); either way the
+    numbers are those of :meth:`EmpiricalValue.to_stochastic` and
+    :meth:`EmpiricalValue.quantile` on each row, and a non-finite draw
+    fails the batch exactly as :class:`EmpiricalValue` would.
+    """
+    if isinstance(samples, np.ndarray):
+        if not np.isfinite(samples).all():
+            raise ValueError("samples must contain only finite values")
+        return (
+            samples.mean(axis=1),
+            2.0 * samples.std(axis=1, ddof=1),
+            np.quantile(samples, 0.95, axis=1),
+        )
+    clouds = [EmpiricalValue(s) for s in samples]
+    return (
+        np.array([c.mean for c in clouds]),
+        np.array([c.spread for c in clouds]),
+        np.array([c.quantile(0.95) for c in clouds]),
+    )
+
+
+def _unanswered(
+    batch: RequestBatch, status: int, completed, *, reason=0, retry_after=0.0, messages=None
+) -> ResponseBatch:
+    """Every row of ``batch`` as a shed or error response (scalars or columns)."""
+    n = len(batch)
+    z = np.zeros(n)
+    return ResponseBatch(
+        request_id=batch.request_id,
+        client=batch.client,
+        clients=batch.clients,
+        model=batch.model,
+        models=batch.models,
+        status=np.full(n, status, np.int8),
+        reason=np.full(n, reason, np.int8),
+        completed=np.full(n, completed),
+        mean=z,
+        spread=z,
+        p95=z,
+        quality=np.zeros(n, np.int8),
+        staleness=z,
+        latency=z,
+        batch_size=np.zeros(n, np.int32),
+        retry_after=np.full(n, retry_after),
+        messages=messages,
+    )
 
 
 class PredictionServer:
@@ -301,27 +357,20 @@ class PredictionServer:
         self.metrics = MetricsRegistry()
         self.admission = AdmissionController(self.config.admission)
         self._models: dict[str, ModelSpec] = {}
-        self._queue: deque[PredictRequest] = deque()
-        # Completed-but-undelivered responses, a heap ordered by
-        # (completed, push sequence): step() pops only the entries whose
-        # completion time has been reached, so delivery is O(delivered
-        # log pending) instead of re-sorting and rebuilding the whole
-        # pending list every step.  The monotone sequence number makes
-        # the pop order identical to a *stable* sort by completion time.
-        self._done: list[tuple[float, int, Response]] = []
-        self._done_seq = itertools.count()
-        # The columnar twin of ``_queue``/``_done``: admitted
-        # RequestBatch segments (FIFO) and completed ResponseBatch parts
-        # awaiting their delivery instant (see submit_batch/step_batch).
-        self._cqueue: deque[RequestBatch] = deque()
-        self._cq_len = 0
-        self._cdone: list[ResponseBatch] = []
-        # Per-model compiled-plan memo for the columnar path.  The
-        # engine's own plan cache already dedupes compilation, but a
-        # cache *hit* still hashes the whole expression tree — at
-        # 100k+ QPS that hash is measurable.  Safe to key by name:
+        # Admitted rows as RequestBatch segments in arrival order; the
+        # event loop coalesces them into one segment before serving.
+        self._queue: list[RequestBatch] = []
+        self._queued = 0
+        # Computed answers awaiting their completion instant.  Parts are
+        # kept in park order, so a stable sort by completion time
+        # delivers ties in the order they were computed.
+        self._parked: list[ResponseBatch] = []
+        # Per-model compiled-plan memo (or the name of the error that
+        # keeps a model off the vectorised engine).  The engine's own
+        # plan cache already dedupes compilation, but a cache *hit*
+        # still hashes the whole expression tree.  Safe to key by name:
         # register_model refuses re-registration.
-        self._cplans: dict[str, object] = {}
+        self._plans: dict[str, object] = {}
         # ``clock`` lets an elastic cluster commission a worker mid-run:
         # the newcomer's event loop starts at its ready instant instead
         # of wherever the shared NWS clock happens to stand.
@@ -396,116 +445,199 @@ class PredictionServer:
 
     @property
     def queue_depth(self) -> int:
-        """Requests admitted and waiting for service (both paths)."""
-        return len(self._queue) + self._cq_len
+        """Requests admitted and waiting for service."""
+        return self._queued
 
     # ------------------------------------------------------------------
-    # Submission
+    # The per-request protocol: a view over the batch engine
     # ------------------------------------------------------------------
     def submit(self, request: PredictRequest) -> Response | None:
         """Admit ``request`` (returns ``None``) or answer it immediately.
 
-        An immediate response is either :class:`OverloadedResponse`
-        (admission shed) or :class:`ErrorResponse` (unknown model /
-        override).  Admitted requests are answered by a later
-        :meth:`step`.
-
-        With a tracer installed, every admitted request opens a
-        ``request`` span (its own trace) that stays open until the
-        answer is delivered; rejected submissions record an instant
-        ``serving.reject`` span instead.
+        A one-row :meth:`submit_batch`: the immediate response is an
+        :class:`~repro.serving.protocol.OverloadedResponse` (admission
+        shed) or an :class:`~repro.serving.protocol.ErrorResponse`
+        (unknown model, bad override); admitted requests are answered
+        by a later :meth:`step`.
         """
-        now = max(self._clock, request.submitted)
-        self.metrics.counter("requests_total").inc()
+        immediate = self.submit_batch(RequestBatch.from_requests([request]))
+        return immediate.response(0) if len(immediate) else None
 
-        spec = self._models.get(request.model)
-        if spec is None:
-            self.metrics.counter("errors_total").inc()
-            self._trace_reject(request, now, "unknown_model")
-            return ErrorResponse(
-                request_id=request.request_id,
-                client_id=request.client_id,
-                completed=now,
-                message=f"unknown model {request.model!r}; registered: {self.models}",
+    def step(self, to: float) -> list[Response]:
+        """:meth:`step_batch`, with the answers as typed response objects."""
+        return self.step_batch(to).to_responses()
+
+    # ------------------------------------------------------------------
+    # Submission
+    # ------------------------------------------------------------------
+    def submit_batch(self, batch: RequestBatch) -> ResponseBatch:
+        """Validate and admit a whole :class:`RequestBatch`.
+
+        Returns the *immediate* responses: an ``ErrorResponse`` per row
+        that breaks the input contract (non-finite ``submitted``, a
+        deadline before submission, a model or client code outside its
+        intern table, an unknown model, an override of a parameter the
+        model does not sample) and an ``OverloadedResponse`` per row
+        admission sheds.  Admitted rows queue for :meth:`step_batch`.
+        Verdicts — and the token-bucket state left behind — are
+        identical to submitting the rows one at a time.
+
+        With a tracer installed, every admitted row opens a ``request``
+        span (its own trace) that stays open until the answer is
+        delivered; rejected rows record an instant ``serving.reject``
+        span instead.
+        """
+        n = len(batch)
+        if n == 0:
+            return ResponseBatch.empty()
+        self.metrics.counter("requests_total").inc(n)
+        now = np.maximum(batch.submitted, self._clock)
+        parts: list[ResponseBatch] = []
+
+        rejected = self._rejections(batch)
+        valid = batch
+        if rejected:
+            self.metrics.counter("errors_total").inc(len(rejected))
+            parts.append(
+                ResponseBatch.from_responses(
+                    ErrorResponse(
+                        request_id=int(batch.request_id[i]),
+                        client_id=_table_name(batch.clients, batch.client[i]),
+                        completed=float(now[i]) if np.isfinite(now[i]) else self._clock,
+                        message=message,
+                    )
+                    for i, (_, message) in rejected.items()
+                )
             )
-        bad = set(request.overrides) - set(spec.sampled)
-        if bad:
-            self.metrics.counter("errors_total").inc()
-            self._trace_reject(request, now, "bad_override")
-            return ErrorResponse(
-                request_id=request.request_id,
-                client_id=request.client_id,
-                completed=now,
-                message=(
-                    f"overrides {sorted(bad)} are not run-time parameters of "
-                    f"{request.model!r} (run-time: {list(spec.sampled)})"
-                ),
-            )
+            keep = np.ones(n, dtype=bool)
+            keep[list(rejected)] = False
+            valid, now = batch.select(keep), now[keep]
 
-        reason = self.admission.admit(request.client_id, self.queue_depth, now)
-        if reason is not None:
-            return self._shed(request, reason, now)
-
-        self._queue.append(request)
+        verdict = admit_batch(self.admission, valid, self._queued, self._clock)
         if self.tracer.enabled:
-            self._req_spans[(request.client_id, request.request_id)] = self.tracer.start_span(
-                "request",
-                now,
-                stage=STAGE_SERVING,
-                new_trace=True,
-                request_id=request.request_id,
-                client_id=request.client_id,
-                model=request.model,
+            self._trace_submissions(batch, rejected, iter(verdict.tolist()))
+        admitted = verdict == ADMIT
+        if not admitted.all():
+            shed = ~admitted
+            self.metrics.counter("shed_total").inc(int(shed.sum()))
+            counts = np.bincount(verdict[shed], minlength=len(REASONS))
+            for code, name in enumerate(REASONS):
+                if name and counts[code]:
+                    self.metrics.counter(f"shed_{name}").inc(int(counts[code]))
+            # Each shed row's retry hint reads the queue depth at its
+            # own instant in the submission order.
+            depth_at = self._queued + np.cumsum(admitted) - admitted
+            parts.append(
+                _unanswered(
+                    valid.select(shed),
+                    _ST_OVERLOADED,
+                    now[shed],
+                    reason=verdict[shed],
+                    retry_after=depth_at[shed] / self.config.drain_rate(),
+                )
             )
-        self.metrics.gauge("queue_depth").set(self.queue_depth)
-        return None
+            valid = valid.select(admitted)
+        if len(valid):
+            self._queue.append(valid)
+            self._queued += len(valid)
+            self.metrics.gauge("queue_depth").set(self._queued)
+        return ResponseBatch.concat(parts)
 
-    def _trace_reject(self, request: PredictRequest, at: float, why: str) -> None:
-        if self.tracer.enabled:
+    def _rejections(self, batch: RequestBatch) -> dict[int, tuple[str, str]]:
+        """Rows the server refuses, as ``{row: (why, message)}`` in row order.
+
+        The contract :class:`PredictRequest` enforces at construction
+        (same messages), plus what only columns can get wrong (codes
+        outside the intern tables) and what only the server knows
+        (registered models and their run-time parameters).
+        """
+        submitted, deadline = batch.submitted, batch.deadline
+        bad_time = ~np.isfinite(submitted)
+        late = deadline < submitted
+        # Negative codes wrap to huge unsigned ones: one bound check each.
+        bad_client = batch.client.view(np.uint32) >= len(batch.clients)
+        bad_model = batch.model.view(np.uint32) >= len(batch.models)
+        suspect = bad_time | late | bad_client | bad_model
+        if not all(m in self._models for m in batch.models):
+            known = np.array([m in self._models for m in batch.models] + [True])
+            suspect |= ~known[np.minimum(batch.model.view(np.uint32), len(batch.models))]
+        if batch.overrides is not None:
+            suspect |= np.fromiter((bool(o) for o in batch.overrides), bool, len(batch))
+        out: dict[int, tuple[str, str]] = {}
+        for i in np.flatnonzero(suspect).tolist():
+            t = float(submitted[i])
+            if bad_time[i]:
+                out[i] = ("invalid", f"submitted must be finite, got {t!r}")
+            elif late[i]:
+                out[i] = ("invalid", f"deadline ({float(deadline[i])}) must be >= submitted ({t})")
+            elif bad_client[i] or bad_model[i]:
+                column = "client" if bad_client[i] else "model"
+                table = getattr(batch, f"{column}s")
+                code = int(getattr(batch, column)[i])
+                out[i] = (
+                    "invalid",
+                    f"{column} code {code} is outside the {column} table ({len(table)} entries)",
+                )
+            else:
+                name = batch.models[batch.model[i]]
+                spec = self._models.get(name)
+                if spec is None:
+                    out[i] = (
+                        "unknown_model",
+                        f"unknown model {name!r}; registered: {self.models}",
+                    )
+                    continue
+                bad = set(batch.overrides[i]) - set(spec.sampled)
+                if bad:
+                    out[i] = (
+                        "bad_override",
+                        f"overrides {sorted(bad)} are not run-time parameters of "
+                        f"{name!r} (run-time: {list(spec.sampled)})",
+                    )
+        return out
+
+    def _trace_submissions(self, batch, rejected: dict, verdicts) -> None:
+        """Per row, in submission order: a ``request`` span or a reject span.
+
+        ``verdicts`` yields the admission verdict of each row not in
+        ``rejected``, in row order.
+        """
+        for i in range(len(batch)):
+            rid = int(batch.request_id[i])
+            client = _table_name(batch.clients, batch.client[i])
+            model = _table_name(batch.models, batch.model[i])
+            at = max(float(batch.submitted[i]), self._clock)
+            if i in rejected:
+                outcome = f"error:{rejected[i][0]}"
+                at = at if np.isfinite(at) else self._clock
+            elif (verdict := next(verdicts)) != ADMIT:
+                outcome = f"shed:{REASONS[verdict]}"
+            else:
+                self._req_spans[(client, rid)] = self.tracer.start_span(
+                    "request",
+                    at,
+                    stage=STAGE_SERVING,
+                    new_trace=True,
+                    request_id=rid,
+                    client_id=client,
+                    model=model,
+                )
+                continue
             self.tracer.start_span(
                 "serving.reject",
                 at,
                 stage=STAGE_SERVING,
                 new_trace=True,
-                request_id=request.request_id,
-                client_id=request.client_id,
-                model=request.model,
-                outcome=f"error:{why}",
+                request_id=rid,
+                client_id=client,
+                model=model,
+                outcome=outcome,
             ).finish(at)
-
-    def _shed(self, request: PredictRequest, reason: str, at: float) -> OverloadedResponse:
-        self.metrics.counter("shed_total").inc()
-        self.metrics.counter(f"shed_{reason}").inc()
-        if self.tracer.enabled:
-            sp = self._req_spans.pop((request.client_id, request.request_id), None)
-            if sp is not None:
-                # Admitted earlier, shed while queued (deadline expiry).
-                sp.set(outcome=f"shed:{reason}").finish(at)
-            else:
-                self.tracer.start_span(
-                    "serving.reject",
-                    at,
-                    stage=STAGE_SERVING,
-                    new_trace=True,
-                    request_id=request.request_id,
-                    client_id=request.client_id,
-                    model=request.model,
-                    outcome=f"shed:{reason}",
-                ).finish(at)
-        return OverloadedResponse(
-            request_id=request.request_id,
-            client_id=request.client_id,
-            completed=at,
-            reason=reason,
-            retry_after=self.admission.retry_after(
-                self.queue_depth, self.config.drain_rate()
-            ),
-        )
 
     # ------------------------------------------------------------------
     # Event loop
     # ------------------------------------------------------------------
-    def step(self, to: float) -> list[Response]:
+    def step_batch(self, to: float) -> ResponseBatch:
         """Run the event loop up to simulated time ``to``.
 
         Serves as many batches as *start* before ``to`` (the server
@@ -514,443 +646,89 @@ class PredictionServer:
         completion time has been reached, in completion order — a batch
         still in service at ``to`` is delivered by a later step.  Never
         raises on a request's behalf: an evaluation failure becomes an
-        :class:`ErrorResponse`.
+        error response for every row of its batch.
         """
         if to < self._clock:
             raise ValueError(f"cannot step the server backwards from {self._clock} to {to}")
-        while self._queue:
-            t_start = max(self._busy_until, self._clock, self._queue[0].submitted)
+        cap = self.config.batch_max if self.config.mode == "batched" else 1
+        while self._queued:
+            t_start = max(self._busy_until, self._clock, float(self._queue[0].submitted[0]))
             if t_start > to:
                 break
-            self._finish(self._shed_expired(t_start))
-            if not self._queue:
+            if len(self._queue) > 1:
+                self._queue = [RequestBatch.concat(self._queue)]
+            self._shed_expired_rows(t_start)
+            if not self._queued:
                 break
-            batch = self._take_batch()
-            if not batch:
-                continue
-            t_start = max(t_start, max(r.submitted for r in batch))
-            targets = self._precision_targets(batch)
-            if targets is not None:
-                # Chunk-wise adaptive evaluation: the batch's duration
-                # depends on draws actually spent, so evaluation runs
-                # first and t_done falls out of it.
-                responses, t_done = self._serve_adaptive(batch, targets, t_start)
-            else:
-                duration = self.config.service_time(len(batch))
-                t_done = t_start + duration
-                if self.tracer.enabled:
-                    # A batch serves several request traces at once, so it
-                    # gets a trace of its own; request spans link to it via
-                    # the request_ids attribute and their batch events.
-                    with self.tracer.span(
-                        "serving.batch",
-                        t_start,
-                        stage=STAGE_SERVING,
-                        new_trace=True,
-                        model=batch[0].model,
-                        batch_size=len(batch),
-                        request_ids=[r.request_id for r in batch],
-                    ) as sp:
-                        responses = self._serve_batch(batch, t_start, t_done)
-                        sp.finish(t_done)
-                    for req in batch:
-                        rsp = self._req_spans.get((req.client_id, req.request_id))
-                        if rsp is not None:
-                            rsp.set(batch_span=sp.span_id)
-                else:
-                    responses = self._serve_batch(batch, t_start, t_done)
-            self._finish(responses)
-            self._busy_until = t_done
+            batch = self._next_batch(cap)
+            t_start = max(t_start, float(batch.submitted.max()))
+            self._busy_until = self._serve(batch, t_start)
             self.metrics.counter("batches_total").inc()
             self.metrics.histogram("batch_size", _BATCH_BUCKETS).observe(len(batch))
         self._clock = to
         self.forecasts.ingest_to(to)
-        self.metrics.gauge("queue_depth").set(self.queue_depth)
-        out: list[Response] = []
-        while self._done and self._done[0][0] <= to:
-            out.append(heapq.heappop(self._done)[2])
-        # Answer metrics are observed at *delivery*, not at compute time,
-        # so work computed by a worker that crashes before delivering
-        # (discarded by drain()) never appears as a served answer.
-        for resp in out:
-            if resp.status == "ok":
-                self.metrics.counter("responses_ok").inc()
-                self.metrics.counter(f"quality_{resp.quality}").inc()
-                self.metrics.histogram("latency_s").observe(resp.latency)
-                self.metrics.histogram("staleness_at_answer_s", _STALENESS_BUCKETS).observe(
-                    min(resp.staleness, 1e9)
-                )
-        if self.tracer.enabled:
-            for resp in out:
-                sp = self._req_spans.pop((resp.client_id, resp.request_id), None)
-                if sp is None:
-                    continue
-                if resp.status == "ok":
-                    sp.set(
-                        outcome="ok",
-                        quality=resp.quality,
-                        staleness=resp.staleness,
-                        latency=resp.latency,
-                        batch_size=resp.batch_size,
-                    )
-                else:
-                    sp.set(outcome=resp.status)
-                sp.finish(resp.completed)
-        return out
+        self.metrics.gauge("queue_depth").set(self._queued)
+        return self._deliver(to)
 
-    def _finish(self, responses) -> None:
-        """Park computed responses until their delivery instant."""
-        for r in responses:
-            heapq.heappush(self._done, (r.completed, next(self._done_seq), r))
-
-    def _shed_expired(self, t: float) -> list[Response]:
-        """Drop queued requests whose deadline passed before service."""
-        kept: deque[PredictRequest] = deque()
-        shed: list[Response] = []
-        for req in self._queue:
-            if req.deadline is not None and req.deadline < t:
-                shed.append(self._shed(req, SHED_DEADLINE, t))
-            else:
-                kept.append(req)
-        self._queue = kept
-        return shed
-
-    def _take_batch(self) -> list[PredictRequest]:
-        """Head-of-queue model's requests, up to the batch cap, FIFO."""
-        cap = self.config.batch_max if self.config.mode == "batched" else 1
-        model = self._queue[0].model
-        batch: list[PredictRequest] = []
-        kept: deque[PredictRequest] = deque()
-        while self._queue:
-            req = self._queue.popleft()
-            if req.model == model and len(batch) < cap:
-                batch.append(req)
-            else:
-                kept.append(req)
-        self._queue = kept
-        return batch
-
-    # ------------------------------------------------------------------
-    # Columnar hot path (see docs/serving.md, "The columnar hot path")
-    # ------------------------------------------------------------------
-    @property
-    def columnar_fast_path(self) -> bool:
-        """True when batches never need per-request materialisation.
-
-        The array-native path serves exactly the feature set the
-        benchmark hot loop uses; anything that needs per-request state —
-        tracing spans, the reference engine, calibration blocks, a
-        server-wide precision default — routes through the scalar path
-        unchanged (per-request overrides/precision payloads likewise,
-        decided row by row in :meth:`submit_batch`).
-        """
-        cfg = self.config
-        return (
-            cfg.mode == "batched"
-            and cfg.calibration is None
-            and cfg.precision is None
-            and not self.tracer.enabled
-        )
-
-    def submit_batch(self, batch: RequestBatch) -> ResponseBatch:
-        """Admit a whole :class:`RequestBatch` in a few array passes.
-
-        The columnar twin of :meth:`submit`: returns the *immediate*
-        responses (validation errors and admission sheds) as a
-        :class:`ResponseBatch`; admitted rows queue for
-        :meth:`step_batch`.  Verdicts — and the token-bucket state left
-        behind — are identical to feeding the same rows through
-        :meth:`submit` one at a time.  Rows carrying ragged payloads
-        (overrides, per-request precision) are split off and submitted
-        through the scalar path first; the dense remainder never
-        materialises a dataclass.
-        """
-        if len(batch) == 0:
-            return ResponseBatch.empty()
-        if not self.columnar_fast_path:
-            return ResponseBatch.from_responses(
-                [r for r in map(self.submit, batch) if r is not None]
-            )
-        parts: list[ResponseBatch] = []
-        ragged = batch.has_ragged
-        if ragged.any():
-            scalar_rows = [
-                r for r in map(self.submit, batch.select(ragged)) if r is not None
-            ]
-            if scalar_rows:
-                parts.append(ResponseBatch.from_responses(scalar_rows))
-            batch = batch.select(~ragged)
-            if len(batch) == 0:
-                return ResponseBatch.concat(parts)
-
-        n = len(batch)
-        self.metrics.counter("requests_total").inc(n)
-        now = np.maximum(batch.submitted, self._clock)
-
-        known = np.fromiter(
-            (m in self._models for m in batch.models),
-            dtype=bool,
-            count=len(batch.models),
-        )
-        bad = ~known[batch.model]
-        if bad.any():
-            self.metrics.counter("errors_total").inc(int(bad.sum()))
-            sub = batch.select(bad)
-            parts.append(
-                ResponseBatch.from_responses(
-                    [
-                        ErrorResponse(
-                            request_id=req.request_id,
-                            client_id=req.client_id,
-                            completed=float(t),
-                            message=(
-                                f"unknown model {req.model!r}; "
-                                f"registered: {self.models}"
-                            ),
-                        )
-                        for req, t in zip(sub, now[bad])
-                    ]
-                )
-            )
-            batch = batch.select(~bad)
-            now = now[~bad]
-            if len(batch) == 0:
-                return ResponseBatch.concat(parts)
-
-        depth0 = self.queue_depth
-        verdict = admit_batch(self.admission, batch, depth0, self._clock)
-        admitted = verdict == ADMIT
-        shed = ~admitted
-        if shed.any():
-            n_shed = int(shed.sum())
-            self.metrics.counter("shed_total").inc(n_shed)
-            reason_counts = np.bincount(verdict[shed], minlength=len(REASONS))
-            for code, name in enumerate(REASONS):
-                if name and reason_counts[code]:
-                    self.metrics.counter(f"shed_{name}").inc(int(reason_counts[code]))
-            # Scalar parity: each shed row's retry hint reads the queue
-            # depth at its own instant in the submission order.
-            depth_at = depth0 + np.cumsum(admitted) - admitted
-            drain = self.config.drain_rate()
-            sub = batch.select(shed)
-            z = np.zeros(n_shed)
-            parts.append(
-                ResponseBatch(
-                    request_id=sub.request_id,
-                    client=sub.client,
-                    clients=sub.clients,
-                    model=sub.model,
-                    models=sub.models,
-                    status=np.full(n_shed, _ST_OVERLOADED, np.int8),
-                    reason=verdict[shed],
-                    completed=now[shed],
-                    mean=z,
-                    spread=z,
-                    p95=z,
-                    quality=np.zeros(n_shed, np.int8),
-                    staleness=z,
-                    latency=z,
-                    batch_size=np.zeros(n_shed, np.int32),
-                    retry_after=depth_at[shed] / drain,
-                )
-            )
-            batch = batch.select(admitted)
-        if len(batch):
-            self._cqueue.append(batch)
-            self._cq_len += len(batch)
-        self.metrics.gauge("queue_depth").set(self.queue_depth)
-        return ResponseBatch.concat(parts)
-
-    def step_batch(self, to: float) -> ResponseBatch:
-        """Columnar event loop: serve queued rows and deliver up to ``to``.
-
-        Runs the array-native loop over the columnar queue, then the
-        scalar loop (which serves anything :meth:`submit_batch` routed
-        through the scalar path and advances the clock), and returns
-        every response whose completion instant has been reached, in
-        completion order.  Capacity is shared: both loops extend the
-        same in-service window, so a server driven through both APIs
-        still serves one batch at a time.
-        """
-        if to < self._clock:
-            raise ValueError(f"cannot step the server backwards from {self._clock} to {to}")
-        self._step_columnar(to)
-        scalar = self.step(to)
-        parts = []
-        released = self._release_columnar(to)
-        if released is not None:
-            parts.append(released)
-        if scalar:
-            parts.append(ResponseBatch.from_responses(scalar))
-        return ResponseBatch.concat(parts).sorted_by_completion()
-
-    def _step_columnar(self, to: float) -> None:
-        """The batch-serving loop over the columnar queue (no delivery)."""
-        cfg = self.config
-        while self._cq_len:
-            t_start = max(
-                self._busy_until, self._clock, float(self._cqueue[0].submitted[0])
-            )
-            if t_start > to:
-                break
-            self._cshed_expired(t_start)
-            if not self._cq_len:
-                break
-            batch = self._take_cbatch()
-            t_start = max(t_start, float(batch.submitted.max()))
-            t_done = t_start + cfg.service_time(len(batch))
-            self._cdone.append(self._serve_columnar(batch, t_start, t_done))
-            self._busy_until = t_done
-            self.metrics.counter("batches_total").inc()
-            self.metrics.histogram("batch_size", _BATCH_BUCKETS).observe(len(batch))
-
-    def _cshed_expired(self, t: float) -> None:
-        """Vectorised deadline shedding over the columnar queue.
-
-        Same inclusive boundary as :meth:`_shed_expired`: only a
-        deadline *strictly before* the service instant sheds.
-        """
-        if not any((seg.deadline < t).any() for seg in self._cqueue):
+    def _shed_expired_rows(self, t: float) -> None:
+        """Shed queued rows whose deadline passed *strictly* before ``t``."""
+        queue = self._queue[0]
+        expired = queue.deadline < t
+        if not expired.any():
             return
-        retry = self.admission.retry_after(self.queue_depth, self.config.drain_rate())
-        kept: list[RequestBatch] = []
-        for seg in self._cqueue:
-            expired = seg.deadline < t
-            if expired.any():
-                sub = seg.select(expired)
-                n = len(sub)
-                self.metrics.counter("shed_total").inc(n)
-                self.metrics.counter(f"shed_{SHED_DEADLINE}").inc(n)
-                z = np.zeros(n)
-                self._cdone.append(
-                    ResponseBatch(
-                        request_id=sub.request_id,
-                        client=sub.client,
-                        clients=sub.clients,
-                        model=sub.model,
-                        models=sub.models,
-                        status=np.full(n, _ST_OVERLOADED, np.int8),
-                        reason=np.full(n, _RE_DEADLINE, np.int8),
-                        completed=np.full(n, t),
-                        mean=z,
-                        spread=z,
-                        p95=z,
-                        quality=np.zeros(n, np.int8),
-                        staleness=z,
-                        latency=z,
-                        batch_size=np.zeros(n, np.int32),
-                        retry_after=np.full(n, retry),
-                    )
-                )
-                seg = seg.select(~expired)
-            if len(seg):
-                kept.append(seg)
-        self._cqueue = deque(kept)
-        self._cq_len = sum(len(s) for s in kept)
-
-    def _take_cbatch(self) -> RequestBatch:
-        """Head-of-queue model's rows, FIFO up to the cap, as one select.
-
-        The same selection rule as :meth:`_take_batch` — every queued
-        row of the head model, in arrival order, capped at
-        ``batch_max`` — expressed as a mask over the coalesced queue.
-        """
-        q = (
-            self._cqueue[0]
-            if len(self._cqueue) == 1
-            else RequestBatch.concat(list(self._cqueue))
+        gone = queue.select(expired)
+        n = len(gone)
+        self.metrics.counter("shed_total").inc(n)
+        self.metrics.counter(f"shed_{SHED_DEADLINE}").inc(n)
+        retry = self.admission.retry_after(self._queued, self.config.drain_rate())
+        self._parked.append(
+            _unanswered(gone, _ST_OVERLOADED, t, reason=_RE_DEADLINE, retry_after=retry)
         )
-        idx = np.flatnonzero(q.model == q.model[0])[: self.config.batch_max]
-        keep = np.ones(len(q), dtype=bool)
-        keep[idx] = False
-        batch = q.select(idx)
-        rest = q.select(keep)
-        self._cqueue = deque([rest] if len(rest) else [])
-        self._cq_len = len(rest)
-        return batch
+        if self.tracer.enabled:
+            for client, rid in zip(gone.client.tolist(), gone.request_id.tolist()):
+                sp = self._req_spans.pop((gone.clients[client], rid), None)
+                if sp is not None:
+                    sp.set(outcome=f"shed:{SHED_DEADLINE}").finish(t)
+        self._requeue(queue.select(~expired))
 
-    def _serve_columnar(
-        self, batch: RequestBatch, t_start: float, t_done: float
-    ) -> ResponseBatch:
-        """Fused evaluation of one single-model batch, answers as columns.
+    def _next_batch(self, cap: int) -> RequestBatch:
+        """The head row's model's queued rows, FIFO, up to ``cap``."""
+        queue = self._queue[0]
+        take = np.flatnonzero(queue.model == queue.model[0])[:cap]
+        if len(take) == len(queue):
+            self._requeue(None)
+            return queue
+        keep = np.ones(len(queue), dtype=bool)
+        keep[take] = False
+        self._requeue(queue.select(keep))
+        return queue.select(take)
 
-        Every row shares the model's forecast-resolved parameter values
-        (rows with overrides never reach this path), so the whole batch
-        is one draw + one plan evaluation + axis-1 reductions; the
-        mean / spread / p95 formulas match
-        :meth:`~repro.core.empirical.EmpiricalValue.to_stochastic` and
-        :meth:`~repro.core.empirical.EmpiricalValue.quantile` exactly.
-        Any failure — unsupported plan included — falls back to the
-        scalar batch path, which already answers both cases.
+    def _requeue(self, rest: RequestBatch | None) -> None:
+        self._queue = [rest] if rest is not None and len(rest) else []
+        self._queued = len(self._queue[0]) if self._queue else 0
+
+    def _deliver(self, to: float) -> ResponseBatch:
+        """Parked answers whose completion instant has been reached.
+
+        Answer metrics are observed here, at *delivery*, not at compute
+        time, so work computed by a worker that crashes before
+        delivering (discarded by :meth:`drain`) never appears as a
+        served answer; request spans close here too.
         """
-        name = batch.models[batch.model[0]]
-        spec = self._models[name]
-        k = len(batch)
-        n = self.config.n_samples
-        try:
-            plan = self._cplans.get(name)
-            if plan is None:
-                plan = compile_expr(
-                    spec.expression, spec.sampled, policy=spec.policy, tracer=self.tracer
-                )
-                self._cplans[name] = plan
-            self.forecasts.ingest_to(t_start)
-            shared = {
-                param: self.forecasts.get(resource, t_start)
-                for param, resource in sorted(spec.resources.items())
-                if param in spec.sampled
-            }
-            draws = {}
-            for param in spec.sampled:
-                bounds = spec.clip.get(param) if spec.clip else None
-                sv = shared[param].value if param in shared else spec.bindings.resolve(param)
-                draws[param] = self._draw(sv, k * n, bounds)
-            out = plan.evaluate(draws, spec.bindings, n_samples=k * n).reshape(k, n)
-            mean = out.mean(axis=1)
-            spread = 2.0 * out.std(axis=1, ddof=1)
-            p95 = np.quantile(out, 0.95, axis=1)
-        except Exception:  # noqa: BLE001 - protocol boundary
-            return ResponseBatch.from_responses(
-                self._serve_batch(batch.to_requests(), t_start, t_done)
-            )
-        quality = _worst_quality(f.quality for f in shared.values())
-        staleness = max((f.staleness for f in shared.values()), default=0.0)
-        return ResponseBatch(
-            request_id=batch.request_id,
-            client=batch.client,
-            clients=batch.clients,
-            model=batch.model,
-            models=batch.models,
-            status=np.zeros(k, np.int8),
-            reason=np.zeros(k, np.int8),
-            completed=np.full(k, t_done),
-            mean=mean,
-            spread=spread,
-            p95=p95,
-            quality=np.full(k, QUALITIES.index(quality), np.int8),
-            staleness=np.full(k, staleness),
-            latency=t_done - batch.submitted,
-            batch_size=np.full(k, k, np.int32),
-            retry_after=np.zeros(k),
-        )
-
-    def _release_columnar(self, to: float) -> ResponseBatch | None:
-        """Columnar responses whose completion instant has been reached."""
-        if not self._cdone:
-            return None
-        pending = ResponseBatch.concat(self._cdone)
+        if not self._parked:
+            return ResponseBatch.empty()
+        pending = ResponseBatch.concat(self._parked)
         ready = pending.completed <= to
-        if not ready.any():
-            self._cdone = [pending]
-            return None
         if ready.all():
-            self._cdone = []
+            self._parked = []
             out = pending
-        else:
-            self._cdone = [pending.select(~ready)]
+        elif ready.any():
+            self._parked = [pending.select(~ready)]
             out = pending.select(ready)
+        else:
+            self._parked = [pending]
+            return ResponseBatch.empty()
         out = out.sorted_by_completion()
-        # Delivery-time metrics, the vectorised mirror of step()'s.
         ok = out.ok_mask
         n_ok = int(ok.sum())
         if n_ok:
@@ -961,6 +739,23 @@ class PredictionServer:
             self.metrics.histogram("staleness_at_answer_s", _STALENESS_BUCKETS).observe_many(
                 np.minimum(out.staleness[ok], 1e9)
             )
+        if self.tracer.enabled:
+            for i in range(len(out)):
+                key = (out.clients[out.client[i]], int(out.request_id[i]))
+                sp = self._req_spans.pop(key, None)
+                if sp is None:
+                    continue
+                if ok[i]:
+                    sp.set(
+                        outcome="ok",
+                        quality=QUALITIES[out.quality[i]],
+                        staleness=float(out.staleness[i]),
+                        latency=float(out.latency[i]),
+                        batch_size=int(out.batch_size[i]),
+                    )
+                else:
+                    sp.set(outcome=STATUSES[out.status[i]])
+                sp.finish(float(out.completed[i]))
         return out
 
     # ------------------------------------------------------------------
@@ -977,14 +772,9 @@ class PredictionServer:
         — and the in-service window is cancelled so a later restart does
         not resume a half-finished batch.
         """
-        dropped = list(self._queue)
-        for seg in self._cqueue:
-            dropped.extend(seg.to_requests())
-        self._queue.clear()
-        self._done.clear()
-        self._cqueue.clear()
-        self._cq_len = 0
-        self._cdone.clear()
+        dropped = RequestBatch.concat(self._queue).to_requests() if self._queue else []
+        self._requeue(None)
+        self._parked = []
         self._busy_until = self._clock
         self.metrics.gauge("queue_depth").set(0)
         if self.tracer.enabled:
@@ -1004,11 +794,8 @@ class PredictionServer:
         """
         if at < self._clock:
             raise ValueError(f"cannot restart at {at}, before the clock ({self._clock})")
-        self._queue.clear()
-        self._done.clear()
-        self._cqueue.clear()
-        self._cq_len = 0
-        self._cdone.clear()
+        self._requeue(None)
+        self._parked = []
         self._clock = at
         self._busy_until = at
         self.forecasts.invalidate()
@@ -1022,150 +809,261 @@ class PredictionServer:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def _serve_batch(
-        self, batch: list[PredictRequest], t_start: float, t_done: float
-    ) -> list[Response]:
-        spec = self._models[batch[0].model]
-        try:
-            return self._evaluate(spec, batch, t_start, t_done)
-        except Exception as exc:  # noqa: BLE001 - protocol boundary
-            self.metrics.counter("errors_total").inc(len(batch))
-            return [
-                ErrorResponse(
-                    request_id=r.request_id,
-                    client_id=r.client_id,
-                    completed=t_done,
-                    message=f"evaluation failed: {type(exc).__name__}: {exc}",
-                )
-                for r in batch
-            ]
+    def _serve(self, batch: RequestBatch, t_start: float) -> float:
+        """Answer one single-model batch and park the answers; returns t_done.
 
-    def _effective(
-        self,
-        spec: ModelSpec,
-        request: PredictRequest,
-        param: str,
-        shared: dict[str, QualifiedForecast],
-    ) -> StochasticValue:
-        """The value ``param`` takes for ``request`` at this instant."""
-        if param in request.overrides:
-            return as_stochastic(request.overrides[param])
-        if param in shared:
-            return shared[param].value
-        return spec.bindings.resolve(param)
+        With a tracer installed the batch gets a ``serving.batch`` span
+        of its own trace (a batch serves several request traces at
+        once); request spans link to it through ``batch_span``.
+        """
+        targets = self._precision_targets(batch)
+        if not self.tracer.enabled:
+            return self._answer(batch, t_start, targets)[0]
+        extra = {} if targets is None else {"adaptive": True}
+        with self.tracer.span(
+            "serving.batch",
+            t_start,
+            stage=STAGE_SERVING,
+            new_trace=True,
+            model=batch.models[batch.model[0]],
+            batch_size=len(batch),
+            request_ids=batch.request_id.tolist(),
+            **extra,
+        ) as sp:
+            t_done, draws = self._answer(batch, t_start, targets)
+            if targets is not None:
+                sp.set(draws=draws)
+            sp.finish(t_done)
+        for client, rid in zip(batch.client.tolist(), batch.request_id.tolist()):
+            rsp = self._req_spans.get((batch.clients[client], rid))
+            if rsp is not None:
+                rsp.set(batch_span=sp.span_id)
+        return t_done
 
-    def _evaluate(
-        self, spec: ModelSpec, batch: list[PredictRequest], t_start: float, t_done: float
-    ) -> list[Response]:
+    def _answer(
+        self, batch: RequestBatch, t_start: float, targets: list | None
+    ) -> tuple[float, int]:
+        """The one evaluator: draws, plan, reductions, blocks, answers.
+
+        Returns ``(t_done, draws evaluated)``.  What the batch carries
+        picks the work: overrides switch the affected parameters to
+        per-row draws, precision targets switch to chunk-wise adaptive
+        sampling (and attach a ``precision`` block), calibration
+        attaches a ``distribution`` block.  Rows with blocks ride as
+        whole response objects in the answer batch's sidecar.
+        """
         cfg = self.config
-        self.forecasts.ingest_to(t_start)
-        shared = {
-            param: self.forecasts.get(resource, t_start)
-            for param, resource in sorted(spec.resources.items())
-            if param in spec.sampled
-        }
+        spec = self._models[batch.models[batch.model[0]]]
+        sampled = spec.sampled
+        k = len(batch)
+        overrides = batch.overrides
+        # Precision shedding: the queue left behind sets a tolerance
+        # multiplier, applied before sampling and tagged on every answer
+        # — the server never silently loosens a contract.
+        factor = 1.0 if targets is None else self.admission.precision_factor(self._queued)
+        try:
+            self.forecasts.ingest_to(t_start)
+            shared = {
+                param: self.forecasts.get(resource, t_start)
+                for param, resource in sorted(spec.resources.items())
+                if param in sampled
+            }
+            base = self._effective(spec, sampled, shared, {})
+            effective = (
+                [base] * k
+                if overrides is None
+                else [self._effective(spec, sampled, shared, o) if o else base for o in overrides]
+            )
+            if targets is None:
+                samples = self._propagate(spec, effective, overrides)
+                outcomes, draws = None, k * cfg.n_samples
+                t_done = t_start + cfg.service_time(k)
+            else:
+                loosened = [None if t is None else t.degraded(factor) for t in targets]
+                samples, outcomes, draws = self._propagate_adaptive(
+                    spec, batch, effective, loosened
+                )
+                t_done = t_start + cfg.adaptive_service_time(draws)
+            scale, dists = self._distributions(spec, samples)
+            mean, spread, p95 = _summarise(samples)
+            if scale != 1.0:
+                spread = spread * scale
+                p95 = mean + (p95 - mean) * scale
 
-        if cfg.mode == "batched":
-            samples = self._propagate_batched(spec, batch, shared)
-        else:
-            samples = self._propagate_reference(spec, batch, shared)
-
-        scale, dists, base_eff = self._calibration_blocks(spec, samples, shared)
-        responses: list[Response] = []
-        for k, req in enumerate(batch):
-            consulted = [f for p, f in shared.items() if p not in req.overrides]
-            quality = _worst_quality(f.quality for f in consulted)
-            staleness = max((f.staleness for f in consulted), default=0.0)
-            emp = EmpiricalValue(samples[k])
-            value = emp.to_stochastic()
-            p95 = float(emp.quantile(0.95))
-            dist = None
+            q0, s0 = _consulted(shared, {})
+            quality = np.full(k, q0, np.int8)
+            staleness = np.full(k, s0)
+            for i, o in enumerate(overrides or ()):
+                if o:
+                    quality[i], staleness[i] = _consulted(shared, o)
+            infos = None if outcomes is None else self._precision_infos(
+                targets, outcomes, factor, draws
+            )
+            latency = t_done - batch.submitted
+            messages = None
+            if dists is not None or infos is not None:
+                messages = tuple(
+                    PredictResponse(
+                        request_id=int(batch.request_id[i]),
+                        client_id=batch.clients[batch.client[i]],
+                        completed=t_done,
+                        value=StochasticValue(float(mean[i]), float(spread[i])),
+                        p95=float(p95[i]),
+                        quality=QUALITIES[quality[i]],
+                        staleness=float(staleness[i]),
+                        latency=float(latency[i]),
+                        batch_size=k,
+                        model=spec.name,
+                        precision=None if infos is None else infos[i],
+                        distribution=None if dists is None else dists[i],
+                    )
+                    if dists is not None or infos[i] is not None
+                    else None
+                    for i in range(k)
+                )
             if dists is not None:
-                dist = dists[k]
-                if scale != 1.0:
-                    value = StochasticValue(value.mean, value.spread * scale)
-                    p95 = value.mean + (p95 - value.mean) * scale
-            responses.append(
-                PredictResponse(
-                    request_id=req.request_id,
-                    client_id=req.client_id,
-                    completed=t_done,
-                    value=value,
+                for i, dist in enumerate(dists):
+                    self.calib.enqueue(
+                        spec.name, QUALITIES[quality[i]], dist, effective[i], t_done
+                    )
+            self._parked.append(
+                ResponseBatch(
+                    request_id=batch.request_id,
+                    client=batch.client,
+                    clients=batch.clients,
+                    model=batch.model,
+                    models=batch.models,
+                    status=np.zeros(k, np.int8),
+                    reason=np.zeros(k, np.int8),
+                    completed=np.full(k, t_done),
+                    mean=mean,
+                    spread=spread,
                     p95=p95,
                     quality=quality,
                     staleness=staleness,
-                    latency=t_done - req.submitted,
-                    batch_size=len(batch),
-                    model=req.model,
-                    distribution=dist,
+                    latency=latency,
+                    batch_size=np.full(k, k, np.int32),
+                    retry_after=np.zeros(k),
+                    messages=messages,
                 )
             )
-            if dist is not None:
-                eff = (
-                    {p: self._effective(spec, req, p, shared) for p in spec.sampled}
-                    if req.overrides
-                    else base_eff
+            return t_done, draws
+        except Exception as exc:  # noqa: BLE001 - protocol boundary
+            self.metrics.counter("errors_total").inc(k)
+            t_done = t_start + cfg.service_time(k)
+            message = f"evaluation failed: {type(exc).__name__}: {exc}"
+            self._parked.append(
+                _unanswered(batch, _ST_ERROR, t_done, messages=(message,) * k)
+            )
+            return t_done, 0
+
+    @staticmethod
+    def _effective(spec: ModelSpec, sampled: tuple, shared: dict, overrides) -> dict:
+        """The value every sampled parameter takes for a row at this instant."""
+        return {
+            p: as_stochastic(overrides[p])
+            if p in overrides
+            else shared[p].value
+            if p in shared
+            else spec.bindings.resolve(p)
+            for p in sampled
+        }
+
+    def _plan(self, spec: ModelSpec):
+        """The model's compiled plan (memoised), or ``None`` when it has none.
+
+        A model whose expression or policy the compiler cannot lower is
+        served by the per-sample reference loop; every batch that falls
+        back is counted in ``plan_fallback_total`` and
+        ``plan_fallback_<reason>`` (and tagged on its trace span).
+        """
+        plan = self._plans.get(spec.name)
+        if plan is None:
+            try:
+                plan = compile_expr(
+                    spec.expression, spec.sampled, policy=spec.policy, tracer=self.tracer
                 )
-                self.calib.enqueue(spec.name, quality, dist, eff, t_done)
-        return responses
+            except (UnsupportedPolicyError, UnsupportedExpressionError) as exc:
+                plan = type(exc).__name__
+            self._plans[spec.name] = plan
+        if isinstance(plan, str):
+            self.metrics.counter("plan_fallback_total").inc()
+            self.metrics.counter(f"plan_fallback_{plan}").inc()
+            if self.tracer.enabled and self.tracer.active is not None:
+                self.tracer.active.set(fallback=plan)
+            return None
+        if self.tracer.enabled and self.tracer.active is not None:
+            self.tracer.active.set(engine="vectorised")
+        return plan
 
-    # ------------------------------------------------------------------
-    # Calibration loop (distribution blocks + online scoring)
-    # ------------------------------------------------------------------
-    def _calibration_blocks(
-        self,
-        spec: ModelSpec,
-        samples_list: list,
-        shared: dict[str, QualifiedForecast],
-    ) -> tuple:
-        """Distribution blocks for a batch, or ``(1.0, None, None)``.
+    def _propagate(self, spec: ModelSpec, effective: list, overrides) -> np.ndarray:
+        """Fixed-budget draw clouds for the batch, as a ``(k, n)`` matrix.
 
-        Returns ``(scale, dists, base_effective)``: the recalibration
-        scale read once for the batch (control decisions apply from the
-        *next* flush), one distribution per request (already widened —
-        and tagged — when the scale is active), and the resolved
-        per-parameter forecasts shared by every request without
-        overrides (what outcome simulation replays).  Annotation
-        failures never break serving: on any exception the batch is
-        answered un-annotated and ``calib_errors_total`` counts it.
+        One ``k * n`` draw per parameter no row overrides, per-row draws
+        for the others — the same draw stream as drawing every row
+        separately — then one plan evaluation for the whole batch.
+        """
+        if self.config.mode == "reference":
+            return self._propagate_reference(spec, effective)
+        plan = self._plan(spec)
+        if plan is None:
+            return self._propagate_reference(spec, effective)
+        n = self.config.n_samples
+        k = len(effective)
+        draws: dict[str, np.ndarray] = {}
+        for param in effective[0]:
+            bounds = spec.clip.get(param) if spec.clip else None
+            if overrides is not None and any(param in o for o in overrides):
+                draws[param] = np.concatenate(
+                    [self._draw(e[param], n, bounds) for e in effective]
+                )
+            else:
+                draws[param] = self._draw(effective[0][param], k * n, bounds)
+        return plan.evaluate(draws, spec.bindings, n_samples=k * n).reshape(k, n)
+
+    def _distributions(self, spec: ModelSpec, samples) -> tuple[float, list | None]:
+        """Calibration distribution blocks for a batch, or ``(1.0, None)``.
+
+        Returns the recalibration scale read once for the batch (control
+        decisions apply from the *next* flush) and one distribution per
+        row (already widened — and tagged — when the scale is active).
+        Annotation failures never break serving: on any exception the
+        batch is answered un-annotated and ``calib_errors_total`` counts
+        it.
         """
         if self.calib is None:
-            return 1.0, None, None
+            return 1.0, None
         try:
             scale = self.calib.scale(spec.name)
-            dists = self.calib.distributions(samples_list)
+            dists = self.calib.distributions(list(samples))
             if scale != 1.0:
                 dists = [d.widened(scale) for d in dists]
-            base_eff = {
-                p: (shared[p].value if p in shared else spec.bindings.resolve(p))
-                for p in spec.sampled
-            }
-            return scale, dists, base_eff
+            return scale, dists
         except Exception:  # noqa: BLE001 - scoring must never break serving
             self.metrics.counter("calib_errors_total").inc()
-            return 1.0, None, None
+            return 1.0, None
 
     # ------------------------------------------------------------------
     # Adaptive (precision-targeted) evaluation
     # ------------------------------------------------------------------
-    def _precision_targets(self, batch: list[PredictRequest]) -> list | None:
-        """Clamped per-request precision targets, or ``None`` for fixed.
+    def _precision_targets(self, batch: RequestBatch) -> list | None:
+        """Clamped per-row precision targets, or ``None`` for fixed.
 
-        A request's own target wins over the server default
+        A row's own target wins over the server default
         (``config.precision``); each is clamped to the server's limits.
-        ``None`` means *no* request in the batch is adaptive — the fixed
-        path runs, byte-identical to previous releases.  Adaptive
-        serving needs the batched (vectorised) mode and a sane draw
-        budget; otherwise targets are ignored and answers simply lack a
-        ``precision`` block.
+        ``None`` means *no* row in the batch is adaptive — the fixed
+        path runs.  Adaptive serving needs the batched (vectorised)
+        mode and a sane draw budget; otherwise targets are ignored and
+        answers simply lack a ``precision`` block.
         """
         cfg = self.config
         if cfg.mode != "batched" or cfg.n_samples < 8:
             return None
-        targets = [
-            req.precision if req.precision is not None else cfg.precision
-            for req in batch
-        ]
+        if batch.precision is None:
+            if cfg.precision is None:
+                return None
+            return [self._clamp_target(cfg.precision)] * len(batch)
+        targets = [cfg.precision if t is None else t for t in batch.precision]
         if all(t is None for t in targets):
             return None
         return [None if t is None else self._clamp_target(t) for t in targets]
@@ -1183,109 +1081,30 @@ class PredictionServer:
             changes["rel_tol"] = cfg.min_rel_tol
         return replace(target, **changes) if changes else target
 
-    def _serve_adaptive(
-        self, batch: list[PredictRequest], targets: list, t_start: float
-    ) -> tuple[list[Response], float]:
-        """Serve one batch chunk-wise; returns (responses, t_done)."""
-        if self.tracer.enabled:
-            with self.tracer.span(
-                "serving.batch",
-                t_start,
-                stage=STAGE_SERVING,
-                new_trace=True,
-                model=batch[0].model,
-                batch_size=len(batch),
-                request_ids=[r.request_id for r in batch],
-                adaptive=True,
-            ) as sp:
-                responses, t_done, total_draws = self._serve_batch_adaptive(
-                    batch, targets, t_start
-                )
-                sp.set(draws=total_draws)
-                sp.finish(t_done)
-            for req in batch:
-                rsp = self._req_spans.get((req.client_id, req.request_id))
-                if rsp is not None:
-                    rsp.set(batch_span=sp.span_id)
-        else:
-            responses, t_done, _ = self._serve_batch_adaptive(batch, targets, t_start)
-        return responses, t_done
-
-    def _serve_batch_adaptive(
-        self, batch: list[PredictRequest], targets: list, t_start: float
-    ) -> tuple[list[Response], float, int]:
-        """Adaptive analogue of :meth:`_serve_batch` + :meth:`_evaluate`.
-
-        Precision shedding happens here: the remaining queue depth at
-        evaluation time sets a tolerance multiplier from the admission
-        ladder, applied to every target *before* sampling and tagged on
-        every response — the server never silently loosens a contract.
-        """
-        cfg = self.config
-        spec = self._models[batch[0].model]
-        factor = self.admission.precision_factor(len(self._queue))
-        effective = [None if t is None else t.degraded(factor) for t in targets]
-        try:
-            self.forecasts.ingest_to(t_start)
-            shared = {
-                param: self.forecasts.get(resource, t_start)
-                for param, resource in sorted(spec.resources.items())
-                if param in spec.sampled
-            }
-            samples_list, outcomes, total_draws = self._propagate_adaptive(
-                spec, batch, shared, effective
-            )
-        except Exception as exc:  # noqa: BLE001 - protocol boundary
-            self.metrics.counter("errors_total").inc(len(batch))
-            t_done = t_start + cfg.service_time(len(batch))
-            return (
-                [
-                    ErrorResponse(
-                        request_id=r.request_id,
-                        client_id=r.client_id,
-                        completed=t_done,
-                        message=f"evaluation failed: {type(exc).__name__}: {exc}",
-                    )
-                    for r in batch
-                ],
-                t_done,
-                0,
-            )
-
-        t_done = t_start + cfg.adaptive_service_time(total_draws)
+    def _precision_infos(
+        self, targets: list, outcomes: list, factor: float, draws: int
+    ) -> list:
+        """Adaptive metrics for one batch plus each row's ``precision`` block."""
         degraded = factor > 1.0
         self.metrics.counter("adaptive_batches_total").inc()
-        self.metrics.counter("draws_used_total").inc(total_draws)
-        self.metrics.counter("draws_budget_total").inc(len(batch) * cfg.n_samples)
+        self.metrics.counter("draws_used_total").inc(draws)
+        self.metrics.counter("draws_budget_total").inc(len(targets) * self.config.n_samples)
         if degraded:
             self.metrics.counter("precision_degraded_total").inc(
                 sum(1 for t in targets if t is not None)
             )
-        draws_hist = self.metrics.histogram("draws_used", _DRAWS_BUCKETS)
-
-        scale, dists, base_eff = self._calibration_blocks(spec, samples_list, shared)
-        responses: list[Response] = []
-        for k, req in enumerate(batch):
-            consulted = [f for p, f in shared.items() if p not in req.overrides]
-            quality = _worst_quality(f.quality for f in consulted)
-            staleness = max((f.staleness for f in consulted), default=0.0)
-            emp = EmpiricalValue(samples_list[k])
-            value = emp.to_stochastic()
-            p95 = float(emp.quantile(0.95))
-            dist = None
-            if dists is not None:
-                dist = dists[k]
-                if scale != 1.0:
-                    value = StochasticValue(value.mean, value.spread * scale)
-                    p95 = value.mean + (p95 - value.mean) * scale
-            info = None
-            if outcomes[k] is not None:
-                outcome = outcomes[k]
-                draws_hist.observe(outcome.draws)
-                info = PrecisionInfo(
+        hist = self.metrics.histogram("draws_used", _DRAWS_BUCKETS)
+        infos = []
+        for target, outcome in zip(targets, outcomes):
+            if outcome is None:
+                infos.append(None)
+                continue
+            hist.observe(outcome.draws)
+            infos.append(
+                PrecisionInfo(
                     metric=outcome.target.metric,
                     rule=outcome.target.rule,
-                    requested=targets[k].describe(),
+                    requested=target.describe(),
                     effective=outcome.target.describe(),
                     draws=outcome.draws,
                     budget=outcome.budget,
@@ -1296,48 +1115,25 @@ class PredictionServer:
                     shed_factor=factor,
                     reason=DEGRADED_QUEUE_PRESSURE if degraded else "",
                 )
-            responses.append(
-                PredictResponse(
-                    request_id=req.request_id,
-                    client_id=req.client_id,
-                    completed=t_done,
-                    value=value,
-                    p95=p95,
-                    quality=quality,
-                    staleness=staleness,
-                    latency=t_done - req.submitted,
-                    batch_size=len(batch),
-                    model=req.model,
-                    precision=info,
-                    distribution=dist,
-                )
             )
-            if dist is not None:
-                eff = (
-                    {p: self._effective(spec, req, p, shared) for p in spec.sampled}
-                    if req.overrides
-                    else base_eff
-                )
-                self.calib.enqueue(spec.name, quality, dist, eff, t_done)
-        return responses, t_done, total_draws
+        return infos
 
     def _propagate_adaptive(
         self,
         spec: ModelSpec,
-        batch: list[PredictRequest],
-        shared: dict[str, QualifiedForecast],
+        batch: RequestBatch,
+        effective: list,
         targets: list,
-    ) -> tuple[list[np.ndarray], list, int]:
+    ) -> tuple[list, list, int]:
         """Chunk-wise fused evaluation with shrinking index masks.
 
-        All requests advance through one shared geometric chunk schedule;
-        each chunk concatenates fresh draws for the *still-active*
-        requests only, flows once through the compiled plan, and scatters
-        back into pooled per-request buffers.  A request leaves the
-        active set when its stopping rule converges (or its cap fills);
-        requests without a target ride along at the fixed budget.
-        Returns (per-request samples, per-request outcomes or ``None``,
-        total draws evaluated).
+        All rows advance through one shared geometric chunk schedule;
+        each chunk concatenates fresh draws for the *still-active* rows
+        only, flows once through the compiled plan, and scatters back
+        into pooled per-row buffers.  A row leaves the active set when
+        its stopping rule converges (or its cap fills); rows without a
+        target ride along at the fixed budget.  Returns (per-row
+        samples, per-row outcomes or ``None``, total draws evaluated).
         """
         cfg = self.config
         n_budget = cfg.n_samples
@@ -1347,27 +1143,19 @@ class PredictionServer:
             None if t is None else SequentialProbe(t, self._rng) for t in targets
         ]
 
-        try:
-            plan = compile_expr(
-                spec.expression, spec.sampled, policy=spec.policy, tracer=self.tracer
-            )
-        except (UnsupportedPolicyError, UnsupportedExpressionError) as exc:
-            # No vectorised plan: fall back to the full-budget reference
-            # loop and assess once so provenance is still truthful
-            # (draws == budget, no savings).
-            if self.tracer.enabled and self.tracer.active is not None:
-                self.tracer.active.set(fallback=type(exc).__name__)
-            samples_list = self._propagate_reference(spec, batch, shared)
+        plan = self._plan(spec)
+        if plan is None:
+            # No vectorised plan: the full-budget reference loop, assessed
+            # once so provenance is still truthful (draws == budget).
+            samples = self._propagate_reference(spec, effective)
             outcomes = []
             for k, probe in enumerate(probes):
                 if probe is None:
                     outcomes.append(None)
                     continue
-                probe.assess(samples_list[k])
+                probe.assess(samples[k])
                 outcomes.append(probe.outcome(budget=n_budget))
-            return samples_list, outcomes, k_total * n_budget
-        if self.tracer.enabled and self.tracer.active is not None:
-            self.tracer.active.set(engine="vectorised")
+            return samples, outcomes, k_total * n_budget
 
         adaptive = [t for t in targets if t is not None]
         first = min(t.min_samples for t in adaptive)
@@ -1391,13 +1179,12 @@ class PredictionServer:
                     continue
                 m = sum(counts)
                 draws: dict[str, np.ndarray] = {}
-                for param in spec.sampled:
+                for param in effective[0]:
                     bounds = spec.clip.get(param) if spec.clip else None
                     arr = np.empty(m)
                     off = 0
                     for k, need in zip(members, counts):
-                        sv = self._effective(spec, batch[k], param, shared)
-                        arr[off : off + need] = self._draw(sv, need, bounds)
+                        arr[off : off + need] = self._draw(effective[k][param], need, bounds)
                         off += need
                     draws[param] = arr
                 out = plan.evaluate(draws, spec.bindings, n_samples=m)
@@ -1420,7 +1207,7 @@ class PredictionServer:
                             self.tracer.start_span(
                                 "mc.converged",
                                 stage=STAGE_STRUCTURAL,
-                                request_id=batch[k].request_id,
+                                request_id=int(batch.request_id[k]),
                                 metric=target.metric,
                                 rule=target.rule,
                                 draws=record.draws,
@@ -1445,14 +1232,14 @@ class PredictionServer:
                 if not active:
                     break
 
-            samples_list = [bufs[k][: filled[k]].copy() for k in range(k_total)]
+            samples = [bufs[k][: filled[k]].copy() for k in range(k_total)]
         finally:
             for buf in bufs:
                 self._pool.release(buf)
         outcomes = [
             None if probe is None else probe.outcome(budget=n_budget) for probe in probes
         ]
-        return samples_list, outcomes, total_draws
+        return samples, outcomes, total_draws
 
     def _draw(self, sv: StochasticValue, n: int, clip_bounds) -> np.ndarray:
         if sv.is_point:
@@ -1463,64 +1250,26 @@ class PredictionServer:
             seg = np.clip(seg, *clip_bounds)
         return seg
 
-    def _propagate_batched(
-        self,
-        spec: ModelSpec,
-        batch: list[PredictRequest],
-        shared: dict[str, QualifiedForecast],
-    ) -> list[np.ndarray]:
-        """One vectorised pass for the whole batch (K x n_samples draws)."""
-        n = self.config.n_samples
-        k_total = len(batch)
-        sampled = spec.sampled
-        try:
-            plan = compile_expr(
-                spec.expression, sampled, policy=spec.policy, tracer=self.tracer
-            )
-        except (UnsupportedPolicyError, UnsupportedExpressionError) as exc:
-            if self.tracer.enabled and self.tracer.active is not None:
-                self.tracer.active.set(fallback=type(exc).__name__)
-            return self._propagate_reference(spec, batch, shared)
-        if self.tracer.enabled and self.tracer.active is not None:
-            self.tracer.active.set(engine="vectorised")
-        draws: dict[str, np.ndarray] = {}
-        for param in sampled:
-            bounds = spec.clip.get(param) if spec.clip else None
-            arr = np.empty(k_total * n)
-            for k, req in enumerate(batch):
-                sv = self._effective(spec, req, param, shared)
-                arr[k * n : (k + 1) * n] = self._draw(sv, n, bounds)
-            draws[param] = arr
-        out = plan.evaluate(draws, spec.bindings, n_samples=k_total * n)
-        return [out[k * n : (k + 1) * n] for k in range(k_total)]
-
-    def _propagate_reference(
-        self,
-        spec: ModelSpec,
-        batch: list[PredictRequest],
-        shared: dict[str, QualifiedForecast],
-    ) -> list[np.ndarray]:
-        """The baseline: one per-sample reference loop per request."""
+    def _propagate_reference(self, spec: ModelSpec, effective: list) -> np.ndarray:
+        """The baseline: one per-sample reference loop per row."""
         from repro.structural.montecarlo import monte_carlo_predict
 
         if self.tracer.enabled and self.tracer.active is not None:
             self.tracer.active.set(engine="reference")
         n = self.config.n_samples
-        out = []
-        for req in batch:
-            overlay = {
-                param: self._effective(spec, req, param, shared) for param in spec.sampled
-            }
-            emp = monte_carlo_predict(
-                spec.expression,
-                spec.bindings.overlaid(overlay),
-                n_samples=n,
-                rng=self._rng,
-                clip=spec.clip,
-                engine="reference",
-            )
-            out.append(emp.samples)
-        return out
+        return np.stack(
+            [
+                monte_carlo_predict(
+                    spec.expression,
+                    spec.bindings.overlaid(e),
+                    n_samples=n,
+                    rng=self._rng,
+                    clip=spec.clip,
+                    engine="reference",
+                ).samples
+                for e in effective
+            ]
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1546,3 +1295,8 @@ class PredictionServer:
         if self.calib is not None:
             doc["calibration"] = self.calib.summary()
         return _sanitise(doc)
+
+
+def _table_name(table: tuple, code) -> str:
+    """``table[code]``, or ``""`` for a code outside the table."""
+    return table[code] if 0 <= code < len(table) else ""

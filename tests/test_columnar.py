@@ -1,9 +1,9 @@
 """Columnar serving core: view fidelity, admission parity, path equivalence.
 
-The struct-of-arrays hot path (:mod:`repro.serving.columnar`,
-``docs/serving.md``) is only allowed to exist because it is
-*observationally identical* to the scalar path.  This file is that
-contract:
+The struct-of-arrays core (:mod:`repro.serving.columnar`,
+``docs/serving.md``) is the server's one engine; the per-request
+protocol is a view over it and must stay *observationally identical*
+to feeding the same rows as columns.  This file is that contract:
 
 * **Round-trip fidelity** (hypothesis) — columnising requests/responses
   and materialising the lazy views reproduces the exact protocol
@@ -14,13 +14,17 @@ contract:
   a time, and leaves the token buckets in the same state.
 * **Path equivalence** — the same seeded workload submitted per-request
   vs as one ``RequestBatch`` produces bit-identical responses from a
-  server and from a cluster (values, tags, sheds, worker attribution).
-* **Bugfix regressions** — heap-based delivery preserves stable
+  server and from a cluster (values, tags, sheds, worker attribution,
+  batch membership).
+* **Row validation** — a malformed row gets its own typed error and
+  never fails the step.
+* **Bugfix regressions** — delivery preserves stable
   completion order; the deadline boundary is inclusive (equal instant
   is served) on both the server path and cluster re-routing.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -300,7 +304,6 @@ class TestPathEquivalence:
     def test_server_columnar_answers_bit_identical(self):
         s_scalar, _, _ = demo_server(config=_equivalence_config(), rng=5)
         s_columnar, _, _ = demo_server(config=_equivalence_config(), rng=5)
-        assert s_columnar.columnar_fast_path
         reqs = _mixed_requests(s_scalar.models)
 
         out_scalar = []
@@ -384,6 +387,32 @@ class TestPathEquivalence:
         for rid in by_id_s:
             assert by_id_s[rid] == by_id_c[rid]
 
+    def test_override_row_batches_with_dense_rows_on_both_surfaces(self):
+        # Regression: the batch surface used to split override rows off
+        # into a second queue, so the override row below was served
+        # alone (batch size 1) after the five dense rows instead of in
+        # one batch of six -- the answer depended on the entry point.
+        s_scalar, _, _ = demo_server(rng=5)
+        s_columnar, _, _ = demo_server(rng=5)
+        t0 = s_scalar.now
+        reqs = [
+            PredictRequest(
+                request_id=i,
+                client_id=CLIENTS[i % len(CLIENTS)],
+                model=s_scalar.models[0],
+                submitted=t0,
+                overrides={"load[0]": 0.5} if i == 5 else {},
+            )
+            for i in range(6)
+        ]
+        out_scalar = [r for r in map(s_scalar.submit, reqs) if r is not None]
+        out_scalar += s_scalar.step(t0 + 60.0)
+        rb = s_columnar.submit_batch(RequestBatch.from_requests(reqs))
+        out_columnar = rb.to_responses() + s_columnar.step_batch(t0 + 60.0).to_responses()
+        assert out_scalar == out_columnar
+        assert [r.batch_size for r in out_columnar] == [6] * 6
+        assert len({r.completed for r in out_columnar}) == 1
+
     def test_unknown_model_errors_match_scalar_messages(self):
         s_scalar, _, _ = demo_server(rng=5)
         s_columnar, _, _ = demo_server(rng=5)
@@ -393,6 +422,69 @@ class TestPathEquivalence:
         scalar_resp = s_scalar.submit(bad)
         rb = s_columnar.submit_batch(RequestBatch.from_requests([bad]))
         assert rb.response(0) == scalar_resp
+
+
+# ----------------------------------------------------------------------
+# Row validation: the input contract of the one worker entry point
+# ----------------------------------------------------------------------
+def _raw_batch(model_name, submitted, deadline=None, model=None, client=None):
+    """Hand-built columns, free to break the contract PredictRequest enforces."""
+    n = len(submitted)
+    return RequestBatch(
+        request_id=np.arange(n),
+        client=np.zeros(n) if client is None else client,
+        clients=("ann",),
+        model=np.zeros(n) if model is None else model,
+        models=(model_name,),
+        submitted=submitted,
+        deadline=np.full(n, NO_DEADLINE) if deadline is None else deadline,
+    )
+
+
+def _contract_message(**kw):
+    with pytest.raises(ValueError) as exc:
+        PredictRequest(request_id=0, client_id="ann", model="m", **kw)
+    return str(exc.value)
+
+
+class TestRowValidation:
+    def _submit(self, columns):
+        server, _, _ = demo_server(rng=5)
+        t0 = server.now
+        immediate = server.submit_batch(columns(server.models[0], t0)).to_responses()
+        served = server.step_batch(t0 + 10.0).to_responses()
+        return server, t0, immediate, served
+
+    def test_nan_submitted_row_is_rejected_and_the_step_survives(self):
+        server, _, immediate, served = self._submit(
+            lambda m, t0: _raw_batch(m, [t0, np.nan, t0])
+        )
+        assert [(r.request_id, r.status) for r in immediate] == [(1, "error")]
+        assert immediate[0].message == _contract_message(submitted=float("nan"))
+        assert sorted(r.request_id for r in served) == [0, 2]
+        assert all(r.ok for r in served)
+        assert server.metrics.counter("errors_total").value == 1
+
+    def test_deadline_before_submission_is_rejected(self):
+        server, t0, immediate, served = self._submit(
+            lambda m, t0: _raw_batch(m, [t0 + 1.0, t0], deadline=[t0, NO_DEADLINE])
+        )
+        assert [(r.request_id, r.status) for r in immediate] == [(0, "error")]
+        assert immediate[0].message == _contract_message(submitted=t0 + 1.0, deadline=t0)
+        assert [r.request_id for r in served] == [1]
+        assert server.metrics.counter("errors_total").value == 1
+
+    def test_codes_outside_the_intern_tables_are_rejected(self):
+        server, _, immediate, served = self._submit(
+            lambda m, t0: _raw_batch(m, [t0, t0, t0], model=[0, 7, 0], client=[0, 0, -1])
+        )
+        by_id = {r.request_id: r for r in immediate}
+        assert sorted(by_id) == [1, 2]
+        assert all(r.status == "error" for r in by_id.values())
+        assert "model code 7" in by_id[1].message
+        assert "client code -1" in by_id[2].message and by_id[2].client_id == ""
+        assert [r.request_id for r in served] == [0]
+        assert server.metrics.counter("errors_total").value == 2
 
 
 # ----------------------------------------------------------------------
@@ -417,7 +509,7 @@ class TestDeliveryOrder:
                     model=server.models[0],
                 )
             )
-        server._finish(parked)
+        server._parked.append(ResponseBatch.from_responses(parked))
         early = server.step(t0 + 2.0)
         late = server.step(t0 + 10.0)
         delivered = early + late

@@ -32,7 +32,8 @@ from repro.serving.protocol import (
     PredictResponse,
 )
 from repro.structural.engine import clear_plan_cache, plan_cache_stats
-from repro.structural.expr import Param
+from repro.core.group_ops import MaxStrategy
+from repro.structural.expr import EvalPolicy, Max, Param
 from repro.structural.parameters import Bindings
 from repro.workload.traces import Trace
 
@@ -311,6 +312,33 @@ class TestServer:
         assert len(out) == 10
         assert all(r.ok and r.batch_size == 10 for r in out)
         assert server.metrics.counter("batches_total").value == 1.0
+
+    def test_unsupported_plan_falls_back_and_is_counted(self):
+        server = tiny_server()
+        bindings = Bindings({"scale": 10.0})
+        bindings.bind_runtime("load", StochasticValue(0.5, 0.1))
+        server.register_model(
+            ModelSpec(
+                name="mc",
+                expression=Max(Param("scale") * Param("load"), Param("scale")),
+                bindings=bindings,
+                resources={"load": "cpu:a"},
+                policy=EvalPolicy(max_strategy=MaxStrategy.MONTE_CARLO, mc_rng=5),
+            )
+        )
+        for i in range(3):
+            server.submit(_request(i, client=f"c{i}", submitted=60.0))
+        server.step(61.0)
+        # A model the compiler can lower never touches the counters.
+        assert "plan_fallback_total" not in server.metrics.snapshot()["counters"]
+        for i in range(3, 6):
+            server.submit(_request(i, client=f"c{i}", model="mc", submitted=61.0))
+        out = server.step(62.0)
+        assert len(out) == 3 and all(r.ok for r in out)
+        assert all(r.value.mean >= 10.0 for r in out)
+        counters = server.metrics.snapshot()["counters"]
+        assert counters["plan_fallback_total"] == 1
+        assert counters["plan_fallback_UnsupportedPolicyError"] == 1
 
     def test_reference_mode_serves_one_by_one(self):
         server = tiny_server(config=ServerConfig(mode="reference", n_samples=64))
