@@ -28,6 +28,11 @@ refactor (``repro.serving.columnar``, ``docs/serving.md``):
   bitmap, and the gate is zero lost and zero duplicate answers.  A
   wall-QPS step summary (cumulative throughput at each progress mark)
   lands in ``benchmarks/out/BENCH_soak.json``.
+* **Fault + elastic soak** — :data:`FAULT_SOAK_REQUESTS` requests
+  through the same cluster with an autoscaler installed and one crash
+  window on a busy primary, so crash migration, failover delivery and
+  elastic membership run at soak scale.  Same lossless gate; its
+  wall-QPS is reported next to the bare soak's, not gated.
 
 Everything runs in simulated time, so shed/latency numbers are
 deterministic per seed; only the wall-clock throughput depends on the
@@ -41,15 +46,18 @@ from contextlib import contextmanager
 
 from conftest import emit
 
+from repro.faults import FaultPlan
 from repro.serving import (
     AdmissionPolicy,
     ClusterConfig,
     ColumnarLoadDriver,
+    ElasticConfig,
     LoadDriver,
     OpenLoop,
     ServerConfig,
     demo_cluster,
     demo_server,
+    policy_by_name,
 )
 from repro.serving.server import PredictionServer
 from repro.structural.engine import CompiledExpr
@@ -73,7 +81,8 @@ MIN_COLUMNAR_QPS = 25_000.0  # absolute wall-clock floor, deliberately conservat
 
 SOAK_REQUESTS = int(os.environ.get("REPRO_SOAK_REQUESTS", "1000000"))
 SOAK_RATE = 2500.0  # 4 workers x ~992/s capacity; comfortable headroom
-PROGRESS_EVERY = max(1, SOAK_REQUESTS // 10)
+FAULT_SOAK_REQUESTS = 100_000
+FAULT_SOAK_CRASH = (10.0, 20.0)  # crash window, simulated seconds into the drive
 
 
 def _server_config() -> ServerConfig:
@@ -222,12 +231,11 @@ def test_columnar_microbench_plumbing_share(out_dir):
     assert best_columnar_qps >= MIN_COLUMNAR_QPS
 
 
-def test_cluster_soak_lossless(out_dir):
-    cluster, _, _ = demo_cluster(
-        config=ClusterConfig(worker=_server_config()), rng=SEED
-    )
-    assert cluster.columnar_fast_path
+def _soak(cluster, requests: int, title: str):
+    """Drive ``requests`` through ``cluster``; emit the step summary.
 
+    Returns the drive report and its ``BENCH_soak.json`` payload.
+    """
     steps = []
 
     def progress(answered: int, wall: float) -> None:
@@ -243,15 +251,15 @@ def test_cluster_soak_lossless(out_dir):
         cluster,
         cluster.models,
         rate=SOAK_RATE,
-        max_requests=SOAK_REQUESTS,
+        max_requests=requests,
         rng=SEED,
         progress=progress,
-        progress_every=PROGRESS_EVERY,
+        progress_every=max(1, requests // 10),
     )
     report = driver.run()
 
     emit(
-        f"Cluster soak: {SOAK_REQUESTS:,} requests at {SOAK_RATE:.0f} q/s (seed {SEED})",
+        f"{title}: {requests:,} requests at {SOAK_RATE:.0f} q/s (seed {SEED})",
         format_table(
             ["answered", "wall (s)", "wall q/s"],
             [[f"{s['answered']:,}", s["wall_s"], f"{s['qps_wall']:,}"] for s in steps],
@@ -263,7 +271,7 @@ def test_cluster_soak_lossless(out_dir):
 
     payload = {
         "seed": SEED,
-        "requests": SOAK_REQUESTS,
+        "requests": requests,
         "rate": SOAK_RATE,
         "workers": cluster.config.n_workers,
         "ok": report.ok,
@@ -279,16 +287,68 @@ def test_cluster_soak_lossless(out_dir):
         "qps_sim": report.qps_sim,
         "steps": steps,
     }
+    return report, payload
+
+
+def _record(out_dir, key: str, payload: dict) -> None:
     out = out_dir / "BENCH_soak.json"
     doc = json.loads(out.read_text()) if out.exists() else {}
-    doc["soak"] = payload
+    doc[key] = payload
     out.write_text(json.dumps(doc, indent=2))
 
-    # The headline gate: a million answers, none lost, none duplicated.
-    assert report.submitted == SOAK_REQUESTS
+
+def _assert_lossless(report, requests: int) -> None:
+    assert report.submitted == requests
     assert report.lost == 0
     assert report.duplicates == 0
     assert report.errors == 0
-    assert report.ok + report.shed == SOAK_REQUESTS
+    assert report.ok + report.shed == requests
+
+
+def test_cluster_soak_lossless(out_dir):
+    cluster, _, _ = demo_cluster(
+        config=ClusterConfig(worker=_server_config()), rng=SEED
+    )
+    report, payload = _soak(cluster, SOAK_REQUESTS, "Cluster soak")
+    _record(out_dir, "soak", payload)
+
+    # The headline gate: a million answers, none lost, none duplicated.
+    _assert_lossless(report, SOAK_REQUESTS)
     # Offered load sits under cluster capacity; nothing should shed.
     assert report.shed == 0
+
+
+def test_fault_elastic_soak_lossless(out_dir):
+    # The production features at soak scale: the same cluster with an
+    # autoscaler and one crash of a busy primary mid-drive, so crash
+    # migration, failover delivery and elastic membership all run on
+    # the batch path.  Its wall-QPS is reported next to the bare soak's;
+    # no ratio between the two is gated.
+    probe, _, _ = demo_cluster(config=ClusterConfig(worker=_server_config()), rng=SEED)
+    victim = probe.owners(probe.models[0])[0]
+    down, up = probe.now + FAULT_SOAK_CRASH[0], probe.now + FAULT_SOAK_CRASH[1]
+    cluster, _, _ = demo_cluster(
+        config=ClusterConfig(worker=_server_config()),
+        faults=FaultPlan.crashes({victim: [(down, up)]}),
+        elastic=ElasticConfig(policy=policy_by_name("reactive"), min_workers=4, max_workers=6),
+        rng=SEED,
+    )
+    report, payload = _soak(cluster, FAULT_SOAK_REQUESTS, "Fault + elastic cluster soak")
+    counters = cluster.metrics.snapshot()["counters"]
+    payload["crash"] = {"worker": victim, "down": down, "up": up}
+    payload["counters"] = {
+        k: counters[k]
+        for k in (
+            "worker_crashes_total",
+            "requeued_total",
+            "failovers_total",
+            "scale_ups_total",
+            "scale_downs_total",
+            "workers_retired_total",
+        )
+    }
+    _record(out_dir, "fault_elastic_soak", payload)
+
+    _assert_lossless(report, FAULT_SOAK_REQUESTS)
+    assert counters["worker_crashes_total"] == 1
+    assert counters["failovers_total"] > 0

@@ -4,9 +4,11 @@ One :class:`~repro.serving.server.PredictionServer` batches well, but a
 production deployment scales *out*: N workers, each owning a share of
 the registered models, standing in for each other when hosts crash.
 :class:`ServingCluster` is that layer, driven entirely in simulated time
-with the same two calls as a single server (``submit`` / ``step``), so
-the seeded :class:`~repro.serving.driver.LoadDriver` drives a cluster
-unchanged.
+through the same surfaces as a single server: one engine
+(``submit_batch`` / ``step_batch`` over
+:class:`~repro.serving.columnar.RequestBatch` columns) and the
+per-request protocol (``submit`` / ``step``) as a thin view over it, so
+either load driver drives a cluster unchanged.
 
 **Sharding.**  Every registered model is a shard, keyed by its name plus
 a fingerprint of its bindings, placed on a consistent-hash ring
@@ -18,11 +20,12 @@ own shards rather than every worker paging through every model.
 **Failover.**  A seeded :class:`~repro.faults.plan.FaultPlan` (the
 ``machine_crashes`` schedule, keyed by worker name) crashes and restarts
 workers.  The cluster's event loop processes crash boundaries exactly:
-at a crash instant the dead worker is drained — its queued and
-in-flight requests are re-routed to the shard's replicas from the
-cluster's own in-flight registry — and routing skips it until the
-restart instant, when it re-registers cold (forecast cache invalidated,
-clock jumped over the downtime).  A replica's answer is *never silent*
+at a crash instant the dead worker is drained — every row it admitted
+but never delivered (its queue plus the batch in service) comes back
+from :meth:`~repro.serving.server.PredictionServer.drain` in admission
+order and is re-routed to the shard's replicas — and routing skips it
+until the restart instant, when it re-registers cold (forecast cache
+invalidated, clock jumped over the downtime).  A replica's answer is *never silent*
 about the transition: it is delivered with ``failover=True`` and a
 quality tag degraded to at least ``stale``, because a standby serves the
 migrated shard from standby-grade state.  The worst a client ever sees
@@ -59,6 +62,7 @@ histograms into exact cluster-wide views
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -67,7 +71,7 @@ from repro.faults.plan import FaultPlan
 from repro.nws.service import QUALITIES, NetworkWeatherService
 from repro.obs.tracer import STAGE_CLUSTER, STAGE_ELASTIC, as_tracer
 from repro.serving.admission import TokenBucket
-from repro.serving.columnar import RequestBatch, ResponseBatch
+from repro.serving.columnar import REASONS, RequestBatch, ResponseBatch
 from repro.serving.elastic import Autoscaler, ElasticConfig
 from repro.serving.forecasts import SharedRefreshLedger
 from repro.serving.metrics import Histogram, MetricsRegistry, _sanitise
@@ -75,14 +79,20 @@ from repro.serving.protocol import (
     SHED_DEADLINE,
     SHED_THROTTLED,
     SHED_UNAVAILABLE,
-    ErrorResponse,
-    OverloadedResponse,
     PredictRequest,
-    PredictResponse,
     Response,
 )
 from repro.serving.router import ClusterRouter, bindings_fingerprint
-from repro.serving.server import _BATCH_BUCKETS, ModelSpec, PredictionServer, ServerConfig
+from repro.serving.server import (
+    _BATCH_BUCKETS,
+    _ST_OVERLOADED,
+    ModelSpec,
+    PredictionServer,
+    ServerConfig,
+    _unanswered,
+    rejection_errors,
+    validate_rows,
+)
 from repro.structural.engine import plan_cache_stats
 from repro.util.rng import as_generator
 
@@ -91,10 +101,40 @@ __all__ = ["ClusterConfig", "ServingCluster"]
 #: Queue-depth histogram bucket bounds (requests waiting per worker).
 _DEPTH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
+#: Shed-reason codes the cluster itself answers with.
+_THROTTLED = REASONS.index(SHED_THROTTLED)
+_DEADLINE = REASONS.index(SHED_DEADLINE)
+_UNAVAILABLE = REASONS.index(SHED_UNAVAILABLE)
+
 
 def _degraded(quality: str, floor: str = "stale") -> str:
     """``quality`` degraded to at least ``floor`` (never upgraded)."""
     return QUALITIES[max(QUALITIES.index(quality), QUALITIES.index(floor))]
+
+
+def _keys(rows) -> list[tuple[str, int]]:
+    """``(client_id, request_id)`` of every row: the key a request is known by."""
+    clients = map(rows.clients.__getitem__, rows.client.tolist())
+    return list(zip(clients, rows.request_id.tolist()))
+
+
+def _answered_rows(batch: RequestBatch, rb: ResponseBatch) -> np.ndarray:
+    """The row of ``batch`` each response in ``rb`` answers, matched by key."""
+    rows: dict[tuple[str, int], list[int]] = {}
+    for i, key in enumerate(_keys(batch)):
+        rows.setdefault(key, []).append(i)
+    return np.array([rows[key].pop(0) for key in _keys(rb)], dtype=np.int64)
+
+
+def _in_row_order(parts: list) -> ResponseBatch:
+    """``(rows, ResponseBatch)`` parts merged back into row order."""
+    if not parts:
+        return ResponseBatch.empty()
+    if len(parts) == 1 and len(parts[0][0]) == 1:
+        return parts[0][1]
+    rows = np.concatenate([r for r, _ in parts])
+    merged = ResponseBatch.concat([rb for _, rb in parts])
+    return merged.select(np.argsort(rows, kind="stable"))
 
 
 @dataclass(frozen=True)
@@ -136,15 +176,6 @@ class ClusterConfig:
             raise ValueError(f"cluster_rate must be >= 0, got {self.cluster_rate}")
         if self.cluster_burst < 1.0:
             raise ValueError(f"cluster_burst must be >= 1, got {self.cluster_burst}")
-
-
-@dataclass
-class _InFlight:
-    """Where an admitted request currently lives."""
-
-    request: PredictRequest
-    worker: str
-    failover: bool
 
 
 class ServingCluster:
@@ -223,11 +254,15 @@ class ServingCluster:
             else None
         )
         self._shards: dict[str, str] = {}  # model name -> shard key
-        self._inflight: dict[tuple[str, int], _InFlight] = {}
+        self._models: dict[str, ModelSpec] = {}
+        self._truths: dict[str, ModelSpec | None] = {}
+        # Keys of rows routed to a standby (or re-routed off a drained
+        # worker) that are still in flight: their answers are delivered
+        # with failover=True and a degraded quality tag.
+        self._failover: set[tuple[str, int]] = set()
 
         # Elastic state.  All empty/inert when elasticity is off.
         self.elastic = elastic
-        self._specs: list[tuple[ModelSpec, ModelSpec | None]] = []
         self._next_worker_idx = self.config.n_workers
         self._provisioning: list[tuple[str, PredictionServer, float]] = []
         self._draining: dict[str, float] = {}  # name -> force deadline
@@ -271,7 +306,8 @@ class ServingCluster:
             worker.register_model(spec, truth=truth)
         for _, server, _ in self._provisioning:
             server.register_model(spec, truth=truth)
-        self._specs.append((spec, truth))
+        self._models[spec.name] = spec
+        self._truths[spec.name] = truth
         shard = f"{spec.name}|{bindings_fingerprint(spec.bindings)}"
         self._shards[spec.name] = shard
         self.router.owners(shard)  # place eagerly, in registration order
@@ -312,265 +348,177 @@ class ServingCluster:
         return self.router.owners(self._shards[model])
 
     # ------------------------------------------------------------------
-    # Submission
+    # The per-request protocol: a view over the batch engine
     # ------------------------------------------------------------------
     def submit(self, request: PredictRequest) -> Response | None:
-        """Admit and route ``request``, or answer it immediately.
+        """A one-row :meth:`submit_batch`: ``None`` means admitted."""
+        immediate = self.submit_batch(RequestBatch.from_requests([request]))
+        return immediate.response(0) if len(immediate) else None
 
-        Mirrors :meth:`PredictionServer.submit`: ``None`` means admitted
-        (a later :meth:`step` answers it); anything else is the final
-        typed response.
+    def step(self, to: float) -> list[Response]:
+        """:meth:`step_batch`, with the answers as typed response objects."""
+        return self.step_batch(to).to_responses()
+
+    # ------------------------------------------------------------------
+    # Submission
+    # ------------------------------------------------------------------
+    def submit_batch(self, batch: RequestBatch) -> ResponseBatch:
+        """Validate, meter and route a whole :class:`RequestBatch`.
+
+        Every row is checked against the same input contract a worker
+        enforces (:func:`~repro.serving.server.validate_rows`): a
+        malformed row gets its own ``ErrorResponse`` and never reaches a
+        worker.  Valid rows pass the cluster token bucket, then route
+        with one decision per *distinct* model, and each target worker
+        admits its rows as one sub-batch.  Returns the immediate
+        responses (errors, cluster and worker sheds) in row order;
+        admitted rows are answered by :meth:`step_batch`.
         """
-        now = max(self._clock, request.submitted)
-        self.metrics.counter("requests_total").inc()
+        n = len(batch)
+        if n == 0:
+            return ResponseBatch.empty()
+        self.metrics.counter("requests_total").inc(n)
+        at = np.maximum(batch.submitted, self._clock)
+        shed = np.zeros(n, dtype=np.int8)
+        parts: list = []
+        rejected = validate_rows(batch, self._models)
+        if rejected:
+            rows = np.fromiter(rejected, np.int64, len(rejected))
+            shed[rows] = -1  # answered: neither routed nor shed
+            parts.append((rows, rejection_errors(batch, rejected, self._clock)))
+        valid = batch.model[shed == 0] if rejected else batch.model
+        for code, count in Counter(valid.tolist()).items():
+            shard = self._shards[batch.models[code]]
+            self.shard_arrivals[shard] = self.shard_arrivals.get(shard, 0) + count
+        if self._bucket is not None:
+            for i in np.flatnonzero(shed == 0).tolist():
+                if not self._bucket.allow(float(at[i])):
+                    shed[i] = _THROTTLED
+        self._dispatch(batch, at, shed, self._healthy_set(), parts, requeue=False)
+        return self._account(_in_row_order(parts))
 
-        shard = self._shards.get(request.model)
-        if shard is None:
-            self.metrics.counter("errors_total").inc()
-            return ErrorResponse(
-                request_id=request.request_id,
-                client_id=request.client_id,
-                completed=now,
-                message=f"unknown model {request.model!r}; registered: {self.models}",
-            )
-        self.shard_arrivals[shard] = self.shard_arrivals.get(shard, 0) + 1
-        if self._bucket is not None and not self._bucket.allow(now):
-            return self._shed(request, SHED_THROTTLED, now)
+    def _dispatch(
+        self, batch: RequestBatch, at, shed, healthy: set, parts: list, *, requeue: bool
+    ) -> np.ndarray:
+        """Route every row whose ``shed`` code is 0; shed the positive ones.
 
-        target, failover = self.router.route(shard, self._healthy_set())
-        if target is None:
-            return self._shed(request, SHED_UNAVAILABLE, now)
+        ``shed`` holds a :data:`~repro.serving.columnar.REASONS` code per
+        row (negative: already answered); rows whose shard has no owner
+        in ``healthy`` are shed ``unavailable`` in place.  Routing is one
+        decision per distinct model, and each target worker gets its
+        rows as one sub-batch.  Rows routed to a standby — and every
+        requeued row — keep a failover mark until delivered.  Each
+        shed row's ``retry_after`` reads the cluster queue depth at its
+        own position in row order.  Appends ``(rows, responses)`` parts
+        to ``parts``; returns the mask of routed rows.
+        """
+        n = len(batch)
+        live = shed == 0
+        target = np.full(n, -1)
+        names: list[str] = []
+        failover = np.zeros(n, dtype=bool)
+        for code in dict.fromkeys(batch.model[live].tolist()):
+            rows = live & (batch.model == code)
+            name, standby = self.router.route(self._shards[batch.models[code]], healthy)
+            if name is None:
+                shed[rows] = _UNAVAILABLE
+                continue
+            if name not in names:
+                names.append(name)
+            target[rows] = names.index(name)
+            failover[rows] = standby or requeue
+        routed = target >= 0
+        sheds = np.flatnonzero(shed > 0)
+        depth = self.queue_depth if len(sheds) else 0
         if self.tracer.enabled:
-            self.tracer.start_span(
-                "cluster.route",
-                now,
-                stage=STAGE_CLUSTER,
-                new_trace=True,
-                request_id=request.request_id,
-                client_id=request.client_id,
-                shard=shard,
-                target=target,
-                failover=failover,
-            ).finish(now)
-        return self._place(request, target, failover)
+            for i in np.flatnonzero(routed).tolist():
+                t = float(at[i])
+                self.tracer.start_span(
+                    "cluster.route",
+                    t,
+                    stage=STAGE_CLUSTER,
+                    new_trace=not requeue,
+                    request_id=int(batch.request_id[i]),
+                    client_id=batch.clients[batch.client[i]],
+                    shard=self._shards[batch.models[batch.model[i]]],
+                    target=names[target[i]],
+                    failover=bool(failover[i]),
+                ).finish(t)
 
-    def _place(self, request: PredictRequest, target: str, failover: bool) -> Response | None:
-        """Hand ``request`` to ``target``; track it while in flight."""
-        immediate = self.workers[target].submit(request)
-        if immediate is not None:
-            return self._account(replace(immediate, worker=target))
-        self._inflight[(request.client_id, request.request_id)] = _InFlight(
-            request=request, worker=target, failover=failover
-        )
-        return None
+        admitted = routed.copy()
+        whole = len(names) == 1 and routed.all()
+        for k, name in enumerate(names):
+            rows = np.flatnonzero(target == k)
+            group = batch if whole else batch.select(rows)
+            immediate = self.workers[name].submit_batch(group)
+            if len(immediate):
+                rows = rows[_answered_rows(group, immediate)]
+                admitted[rows] = False
+                parts.append((rows, immediate.with_worker(name)))
+        marked = failover & admitted
+        if marked.any():
+            self._failover.update(_keys(batch.select(marked)))
 
-    def _shed(self, request: PredictRequest, reason: str, at: float) -> OverloadedResponse:
-        drain = sum(
-            self.workers[n].config.drain_rate() for n in self.workers if self._up[n]
-        )
-        return self._account(
-            OverloadedResponse(
-                request_id=request.request_id,
-                client_id=request.client_id,
-                completed=at,
-                reason=reason,
-                retry_after=(self.queue_depth / drain) if drain > 0.0 else float("inf"),
+        if len(sheds):
+            up = [worker for w, worker in self.workers.items() if self._up[w]]
+            capacity = sum(worker.config.drain_rate() for worker in up)
+            ahead = (depth + np.cumsum(admitted) - admitted)[sheds]
+            retry = ahead / capacity if capacity > 0.0 else float("inf")
+            answers = _unanswered(
+                batch.select(sheds),
+                _ST_OVERLOADED,
+                at[sheds],
+                reason=shed[sheds],
+                retry_after=retry,
             )
-        )
+            parts.append((sheds, answers))
+        return routed
 
     def _healthy_set(self) -> set:
         return {name for name, up in self._up.items() if up}
 
     # ------------------------------------------------------------------
-    # Columnar hot path (see docs/serving.md, "The columnar hot path")
-    # ------------------------------------------------------------------
-    @property
-    def columnar_fast_path(self) -> bool:
-        """True when whole batches can route without per-request objects.
-
-        Anything that makes routing or delivery stateful per request —
-        a fault schedule (crash migration needs the in-flight
-        registry), elasticity, the cluster token bucket or tracing —
-        falls back to the per-request submit/step surface.  Worker
-        features (calibration, precision targets, overrides) never do:
-        every worker serves batches through one engine.
-        """
-        return (
-            not self.faults.machine_crashes
-            and self.autoscaler is None
-            and not self._provisioning
-            and not self._draining
-            and self._bucket is None
-            and not self.tracer.enabled
-        )
-
-    def submit_batch(self, batch: RequestBatch) -> ResponseBatch:
-        """Route a whole :class:`RequestBatch` to its shard owners.
-
-        The columnar twin of :meth:`submit`: rows are routed per model
-        (one routing decision per *distinct* model in the batch, not per
-        row), handed to each target worker as one sub-batch, and the
-        immediate responses come back as one :class:`ResponseBatch`.
-        On the fast path no in-flight registry entries are kept — with
-        no faults and no elasticity nothing can strand a request, which
-        is exactly what makes the hot path allocation-free.
-        """
-        if len(batch) == 0:
-            return ResponseBatch.empty()
-        if not self.columnar_fast_path:
-            return ResponseBatch.from_responses(
-                [r for r in map(self.submit, batch) if r is not None]
-            )
-        n = len(batch)
-        self.metrics.counter("requests_total").inc(n)
-        model_counts = np.bincount(batch.model, minlength=len(batch.models))
-
-        parts: list[ResponseBatch] = []
-        healthy = self._healthy_set()
-        target_of: dict[int, str] = {}
-        unknown: list[int] = []
-        for code, model in enumerate(batch.models):
-            if not model_counts[code]:
-                continue
-            shard = self._shards.get(model)
-            if shard is None:
-                unknown.append(code)
-                continue
-            self.shard_arrivals[shard] = (
-                self.shard_arrivals.get(shard, 0) + int(model_counts[code])
-            )
-            # Healthy fleet, no failover possible: the primary serves.
-            target_of[code] = self.router.route(shard, healthy)[0]
-
-        if unknown:
-            bad = np.isin(batch.model, unknown)
-            sub = batch.select(bad)
-            self.metrics.counter("errors_total").inc(len(sub))
-            now = np.maximum(sub.submitted, self._clock)
-            parts.append(
-                ResponseBatch.from_responses(
-                    [
-                        ErrorResponse(
-                            request_id=req.request_id,
-                            client_id=req.client_id,
-                            completed=float(at),
-                            message=(
-                                f"unknown model {req.model!r}; "
-                                f"registered: {self.models}"
-                            ),
-                        )
-                        for req, at in zip(sub, now)
-                    ]
-                )
-            )
-            batch = batch.select(~bad)
-
-        targets = sorted(set(target_of.values()))
-        for name in targets:
-            codes = [c for c, t in target_of.items() if t == name]
-            group = (
-                batch
-                if len(targets) == 1 and not len(parts)
-                else batch.select(np.isin(batch.model, codes))
-            )
-            if not len(group):
-                continue
-            immediate = self.workers[name].submit_batch(group)
-            if len(immediate):
-                parts.append(self._account_batch(immediate.with_worker(name)))
-        return ResponseBatch.concat(parts)
-
-    def step_batch(self, to: float) -> ResponseBatch:
-        """Columnar event loop: step every worker, deliver in one pass.
-
-        With no faults and no elasticity the window has no boundaries to
-        cut, so each worker steps straight to ``to`` through its own
-        columnar loop; deliveries are stamped with worker attribution
-        batch-wise and returned in completion order.
-        """
-        if not self.columnar_fast_path:
-            return ResponseBatch.from_responses(self.step(to))
-        if to < self._clock:
-            raise ValueError(f"cannot step the cluster backwards from {self._clock} to {to}")
-        parts: list[ResponseBatch] = []
-        for name in sorted(self.workers):
-            delivered = self.workers[name].step_batch(to)
-            if len(delivered):
-                if self._inflight:
-                    # Requests admitted through the scalar surface keep
-                    # registry entries; pop them so mixed use stays sane.
-                    for i in range(len(delivered)):
-                        self._inflight.pop(
-                            (
-                                delivered.clients[delivered.client[i]],
-                                int(delivered.request_id[i]),
-                            ),
-                            None,
-                        )
-                parts.append(self._account_batch(delivered.with_worker(name)))
-        self._clock = to
-        depth_hist = self.metrics.histogram("worker_queue_depth", _DEPTH_BUCKETS)
-        for worker in self.workers.values():
-            depth_hist.observe(worker.queue_depth)
-        return ResponseBatch.concat(parts).sorted_by_completion()
-
-    def _account_batch(self, rb: ResponseBatch) -> ResponseBatch:
-        """Vectorised mirror of :meth:`_account` for a response batch."""
-        counts = rb.status_counts()
-        if counts["ok"]:
-            self.metrics.counter("responses_ok").inc(counts["ok"])
-            for quality, c in rb.quality_counts().items():
-                self.metrics.counter(f"quality_{quality}").inc(c)
-            self.metrics.histogram("latency_s").observe_many(rb.latency[rb.ok_mask])
-        if counts["overloaded"]:
-            self.metrics.counter("shed_total").inc(counts["overloaded"])
-            for reason, c in rb.reason_counts().items():
-                self.metrics.counter(f"shed_{reason}").inc(c)
-        if counts["error"]:
-            self.metrics.counter("errors_total").inc(counts["error"])
-        return rb
-
-    # ------------------------------------------------------------------
     # Event loop
     # ------------------------------------------------------------------
-    def step(self, to: float) -> list[Response]:
+    def step_batch(self, to: float) -> ResponseBatch:
         """Run every worker's event loop up to ``to``, with failover.
 
-        Crash and restart instants inside the window are processed
-        exactly: workers are stepped segment by segment between fault
+        Crash and restart instants, autoscaler control ticks, worker
+        ready times and drain deadlines inside the window are processed
+        exactly: workers are stepped segment by segment between those
         boundaries, a worker crossing into a crash window is drained
-        (its unanswered requests re-route to replicas), and one crossing
-        out is restarted cold.  Responses are returned in completion
-        order with worker attribution and failover tagging applied.
+        (its undelivered rows re-route to replicas), and one crossing
+        out is restarted cold.  Answers come back in completion order
+        (stable: ties keep fleet order within a segment) with worker
+        attribution and failover tagging applied.
         """
         if to < self._clock:
             raise ValueError(f"cannot step the cluster backwards from {self._clock} to {to}")
-        out: list[Response] = []
+        parts: list[ResponseBatch] = []
         controls = (
             set(self.autoscaler.control_times(self._clock, to))
             if self.autoscaler is not None
             else ()
         )
         for t in self._boundaries(self._clock, to, controls):
-            for name in list(self.workers):
+            for name, worker in self.workers.items():
                 if self._up[name]:
-                    for resp in self.workers[name].step(t):
-                        out.append(self._deliver(name, resp))
+                    delivered = worker.step_batch(t)
+                    if len(delivered):
+                        parts.append(self._deliver(name, delivered))
             if self._provisioning:
                 self._commission_ready(t)
-            self._apply_transitions(t, out)
+            self._apply_transitions(t, parts)
             if self._draining:
-                self._finalize_drains(t, out)
+                self._finalize_drains(t, parts)
             if self.autoscaler is not None and t in controls:
                 self.autoscaler.control(t)
             self._clock = t
+        depth_hist = self.metrics.histogram("worker_queue_depth", _DEPTH_BUCKETS)
         for name, worker in self.workers.items():
             if self._up[name]:
-                self.metrics.histogram("worker_queue_depth", _DEPTH_BUCKETS).observe(
-                    worker.queue_depth
-                )
-        out.sort(key=lambda r: r.completed)
-        return out
+                depth_hist.observe(worker.queue_depth)
+        return ResponseBatch.concat(parts).sorted_by_completion()
 
     def _boundaries(self, t0: float, t1: float, extra=()) -> list[float]:
         """Event instants in ``(t0, t1]``, ending with ``t1``.
@@ -594,23 +542,23 @@ class ServingCluster:
             out.append(t1)
         return out
 
-    def _apply_transitions(self, t: float, out: list[Response]) -> None:
+    def _apply_transitions(self, t: float, parts: list) -> None:
         """Crash/restart workers whose fault state flips at ``t``.
 
         A worker that crashes *while draining* is a special case: the
-        crash path migrates its unanswered work exactly once (requeue
-        pops the in-flight registry, so the drain finalizer cannot see
-        those requests again), and the worker is retired immediately —
-        it is already off the ring, and letting the fault window's end
-        "restart" a retired worker would resurrect a ghost no request
-        can ever route to.
+        crash path migrates its undelivered work exactly once (the
+        worker's drain hands it over and forgets it, so the drain
+        finalizer cannot see those rows again), and the worker is
+        retired immediately — it is already off the ring, and letting
+        the fault window's end "restart" a retired worker would
+        resurrect a ghost no request can ever route to.
         """
         for name, worker in list(self.workers.items()):
             down_now = self.faults.machine_down(name, t)
             if down_now and self._up[name]:
                 self._up[name] = False
                 self.metrics.counter("worker_crashes_total").inc()
-                self._migrate(name, worker, t, out)
+                self._evacuate(name, t, self._healthy_set(), parts)
                 if name in self._draining:
                     self._retire(name, t, reason="crashed_while_draining")
             elif not down_now and not self._up[name]:
@@ -619,80 +567,39 @@ class ServingCluster:
                 self.metrics.counter("worker_recoveries_total").inc()
         self.metrics.gauge("workers_up").set(sum(self._up.values()))
 
-    def _migrate(self, dead: str, worker: PredictionServer, t: float, out: list[Response]) -> None:
-        """Re-route everything the crashed worker had not answered."""
-        worker.drain()
-        healthy = self._healthy_set()
-        stranded = [
-            key for key, entry in self._inflight.items() if entry.worker == dead
-        ]
-        if not self.tracer.enabled:
-            self._requeue(stranded, t, healthy, out)
-            return
+    def _evacuate(self, name: str, t: float, healthy: set, parts: list, **attrs) -> None:
+        """Drain worker ``name`` and re-route what it had not delivered.
+
+        Rows come back from the worker's drain in admission order and
+        are requeued in that order: a row whose deadline passed
+        *strictly* before ``t`` is shed ``deadline`` (the inclusive
+        boundary of worker-side shedding — a deadline equal to the
+        migration instant is still servable), one whose shard has no
+        owner in ``healthy`` is shed ``unavailable``, and the rest are
+        routed with a failover mark.  With tracing, the migration is a
+        ``cluster.failover`` span parenting each re-route's
+        ``cluster.route`` span.
+        """
+        rows = self.workers[name].drain()
+        if self._failover:
+            self._failover.difference_update(_keys(rows))
+        shed = np.where(rows.deadline < t, _DEADLINE, 0).astype(np.int8)
+        out: list = []
         with self.tracer.span(
             "cluster.failover",
             t,
             stage=STAGE_CLUSTER,
             new_trace=True,
-            worker=dead,
-            stranded=len(stranded),
+            worker=name,
+            stranded=len(rows),
+            **attrs,
         ) as sp:
-            requeued, shed = self._requeue(stranded, t, healthy, out)
-            sp.set(requeued=requeued, shed=shed)
-
-    def _requeue(
-        self, stranded: list, t: float, healthy: set, out: list[Response]
-    ) -> tuple[int, int]:
-        """Re-route ``stranded`` in-flight requests onto ``healthy`` workers.
-
-        Returns ``(requeued, shed)`` counts.  With tracing enabled each
-        re-routed request records a ``cluster.route`` span tagged
-        ``failover=True`` — the hop a replica's answer must carry.
-        """
-        requeued = shed = 0
-        moved_shards = set()
-        for key in stranded:
-            entry = self._inflight.pop(key)
-            deadline = entry.request.deadline
-            if deadline is not None and deadline < t:
-                # Same inclusive boundary as worker-side shedding
-                # (PredictRequest.deadline): a deadline equal to the
-                # migration instant is still servable; a strictly
-                # earlier one is dead on arrival, so re-routing it
-                # would only have a replica shed it later with a
-                # misleading timestamp.
-                out.append(self._shed(entry.request, SHED_DEADLINE, t))
-                shed += 1
-                continue
-            shard = self._shards[entry.request.model]
-            target, failover = self.router.route(shard, healthy)
-            if target is None:
-                out.append(self._shed(entry.request, SHED_UNAVAILABLE, t))
-                shed += 1
-                continue
-            moved_shards.add(shard)
-            self.metrics.counter("requeued_total").inc()
-            requeued += 1
-            if self.tracer.enabled:
-                self.tracer.start_span(
-                    "cluster.route",
-                    t,
-                    stage=STAGE_CLUSTER,
-                    request_id=entry.request.request_id,
-                    client_id=entry.request.client_id,
-                    shard=shard,
-                    target=target,
-                    failover=True,
-                ).finish(t)
-            immediate = self.workers[target].submit(entry.request)
-            if immediate is not None:
-                out.append(self._account(replace(immediate, worker=target)))
-            else:
-                self._inflight[key] = _InFlight(
-                    request=entry.request, worker=target, failover=True
-                )
-        self.metrics.counter("shard_migrations_total").inc(len(moved_shards))
-        return requeued, shed
+            routed = self._dispatch(rows, np.full(len(rows), t), shed, healthy, out, requeue=True)
+            requeued = int(routed.sum())
+            sp.set(requeued=requeued, shed=len(rows) - requeued)
+        self.metrics.counter("requeued_total").inc(requeued)
+        self.metrics.counter("shard_migrations_total").inc(len(np.unique(rows.model[routed])))
+        parts.append(self._account(_in_row_order(out)))
 
     # ------------------------------------------------------------------
     # Elastic membership
@@ -729,8 +636,8 @@ class ServingCluster:
             tracer=self.tracer,
             clock=ready,
         )
-        for spec, truth in self._specs:
-            server.register_model(spec, truth=truth)
+        for model, spec in self._models.items():
+            server.register_model(spec, truth=self._truths[model])
         self._provisioning.append((name, server, ready))
         self.metrics.counter("scale_ups_total").inc()
         if self.tracer.enabled:
@@ -833,38 +740,22 @@ class ServingCluster:
                 **(provenance or {}),
             ).finish(t)
 
-    def _finalize_drains(self, t: float, out: list[Response]) -> None:
+    def _finalize_drains(self, t: float, parts: list) -> None:
         """Retire draining workers that emptied out or hit their deadline.
 
-        Pending work is read from the *live* in-flight registry at the
-        moment of retirement — never from a snapshot taken at drain
-        start — so a request the worker answered during the grace
-        period can never also be re-routed (the delivery already popped
-        its registry entry), and one it did not answer is re-routed
-        exactly once (the requeue pops it).
+        Pending work is whatever the worker holds *at the moment of
+        retirement* — never a snapshot taken at drain start — so a
+        request it answered during the grace period can never also be
+        re-routed, and one it did not answer is handed over by its
+        drain exactly once.
         """
         for name in list(self._draining):
-            worker = self.workers[name]
-            pending = [key for key, entry in self._inflight.items() if entry.worker == name]
-            if not pending:
+            if not self.workers[name].in_flight:
                 self._retire(name, t, reason="drained_clean")
             elif t >= self._draining[name]:
-                worker.drain()
-                healthy = self._healthy_set() - {name}
-                if self.tracer.enabled:
-                    with self.tracer.span(
-                        "cluster.failover",
-                        t,
-                        stage=STAGE_CLUSTER,
-                        new_trace=True,
-                        worker=name,
-                        stranded=len(pending),
-                        drain_deadline=True,
-                    ) as sp:
-                        requeued, shed = self._requeue(pending, t, healthy, out)
-                        sp.set(requeued=requeued, shed=shed)
-                else:
-                    self._requeue(pending, t, healthy, out)
+                self._evacuate(
+                    name, t, self._healthy_set() - {name}, parts, drain_deadline=True
+                )
                 self._retire(name, t, reason="drain_deadline")
 
     def _retire(self, name: str, t: float, *, reason: str) -> None:
@@ -887,44 +778,65 @@ class ServingCluster:
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
-    def _deliver(self, name: str, resp: Response) -> Response:
-        """Stamp worker attribution and failover degradation on ``resp``."""
-        entry = self._inflight.pop((resp.client_id, resp.request_id), None)
-        failover = entry.failover if entry is not None else False
-        if isinstance(resp, PredictResponse) and failover:
-            resp = replace(
-                resp, worker=name, failover=True, quality=_degraded(resp.quality)
-            )
-            self.metrics.counter("failovers_total").inc()
-        else:
-            resp = replace(resp, worker=name)
-        if self.tracer.enabled:
-            attrs = {"quality": resp.quality} if isinstance(resp, PredictResponse) else {}
-            self.tracer.start_span(
-                "cluster.deliver",
-                resp.completed,
-                stage=STAGE_CLUSTER,
-                new_trace=True,
-                request_id=resp.request_id,
-                client_id=resp.client_id,
-                worker=name,
-                failover=failover,
-                status=resp.status,
-                **attrs,
-            ).finish(resp.completed)
-        return self._account(resp)
+    def _deliver(self, name: str, rb: ResponseBatch) -> ResponseBatch:
+        """Stamp worker attribution and failover degradation; account.
 
-    def _account(self, resp: Response) -> Response:
-        if resp.status == "ok":
-            self.metrics.counter("responses_ok").inc()
-            self.metrics.counter(f"quality_{resp.quality}").inc()
-            self.metrics.histogram("latency_s").observe(resp.latency)
-        elif resp.status == "overloaded":
-            self.metrics.counter("shed_total").inc()
-            self.metrics.counter(f"shed_{resp.reason}").inc()
-        else:
-            self.metrics.counter("errors_total").inc()
-        return resp
+        A delivered row carrying a failover mark loses it; if answered,
+        it is tagged ``failover=True`` and its quality degraded to at
+        least ``stale``.  With tracing, each row records a
+        ``cluster.deliver`` span.
+        """
+        rb = rb.with_worker(name)
+        marked = np.zeros(len(rb), dtype=bool)
+        if self._failover:
+            keys = _keys(rb)
+            marked = np.fromiter((k in self._failover for k in keys), bool, len(keys))
+            self._failover.difference_update(k for k, m in zip(keys, marked) if m)
+            answered = np.flatnonzero(marked & rb.ok_mask).tolist()
+            if answered:
+                # rb is a private copy: retag its rows in place.
+                messages = list(rb.messages or (None,) * len(rb))
+                for i in answered:
+                    resp = rb.response(i)
+                    quality = _degraded(resp.quality)
+                    messages[i] = replace(resp, failover=True, quality=quality)
+                    rb.quality[i] = QUALITIES.index(quality)
+                rb.messages = tuple(messages)
+                self.metrics.counter("failovers_total").inc(len(answered))
+        if self.tracer.enabled:
+            for i, resp in enumerate(rb):
+                attrs = {"quality": resp.quality} if resp.ok else {}
+                self.tracer.start_span(
+                    "cluster.deliver",
+                    resp.completed,
+                    stage=STAGE_CLUSTER,
+                    new_trace=True,
+                    request_id=resp.request_id,
+                    client_id=resp.client_id,
+                    worker=name,
+                    failover=bool(marked[i]),
+                    status=resp.status,
+                    **attrs,
+                ).finish(resp.completed)
+        return self._account(rb)
+
+    def _account(self, rb: ResponseBatch) -> ResponseBatch:
+        """Count a batch of final responses in the cluster metrics."""
+        if not len(rb):
+            return rb
+        counts = rb.status_counts()
+        if counts["ok"]:
+            self.metrics.counter("responses_ok").inc(counts["ok"])
+            for quality, c in rb.quality_counts().items():
+                self.metrics.counter(f"quality_{quality}").inc(c)
+            self.metrics.histogram("latency_s").observe_many(rb.latency[rb.ok_mask])
+        if counts["overloaded"]:
+            self.metrics.counter("shed_total").inc(counts["overloaded"])
+            for reason, c in rb.reason_counts().items():
+                self.metrics.counter(f"shed_{reason}").inc(c)
+        if counts["error"]:
+            self.metrics.counter("errors_total").inc(counts["error"])
+        return rb
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1028,7 +940,7 @@ class ServingCluster:
                 "shards": self.router.placement(self._shards.values()),
                 "forecast_ledger": self.ledger.stats(),
                 "plan_cache": plan_cache_stats(),
-                "in_flight": len(self._inflight),
+                "in_flight": sum(w.in_flight for w in self.workers.values()),
                 "elastic": None
                 if self.autoscaler is None
                 else {

@@ -376,9 +376,9 @@ class ColumnarLoadDriver:
     Works against any server exposing ``submit_batch`` / ``step_batch``
     / ``now`` / ``queue_depth`` (a single
     :class:`~repro.serving.server.PredictionServer` or a
-    :class:`~repro.serving.cluster.ServingCluster`); when a cluster
-    needs per-request routing state it routes row by row inside
-    ``submit_batch``, slower but identical in outcome.
+    :class:`~repro.serving.cluster.ServingCluster`, whose crash
+    migration, elastic drains, global bucket and tracing all run on
+    that batch surface too).
 
     Parameters
     ----------

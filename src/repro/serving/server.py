@@ -332,6 +332,80 @@ def _unanswered(
     )
 
 
+def validate_rows(batch: RequestBatch, models: dict) -> dict[int, tuple[str, str]]:
+    """Rows that break the input contract, as ``{row: (why, message)}`` in row order.
+
+    The contract :class:`PredictRequest` enforces at construction (same
+    messages), plus what only columns can get wrong (codes outside the
+    intern tables) and what only the registry ``models`` (name ->
+    :class:`ModelSpec`) knows: unknown models and overrides of
+    parameters a model does not sample.  Every entry point — a worker
+    and a cluster — refuses rows through this one check.
+    """
+    submitted, deadline = batch.submitted, batch.deadline
+    bad_time = ~np.isfinite(submitted)
+    late = deadline < submitted
+    # Negative codes wrap to huge unsigned ones: one bound check each.
+    bad_client = batch.client.view(np.uint32) >= len(batch.clients)
+    bad_model = batch.model.view(np.uint32) >= len(batch.models)
+    suspect = bad_time | late | bad_client | bad_model
+    if not all(m in models for m in batch.models):
+        known = np.array([m in models for m in batch.models] + [True])
+        suspect |= ~known[np.minimum(batch.model.view(np.uint32), len(batch.models))]
+    if batch.overrides is not None:
+        suspect |= np.fromiter((bool(o) for o in batch.overrides), bool, len(batch))
+    out: dict[int, tuple[str, str]] = {}
+    if not suspect.any():
+        return out
+    for i in np.flatnonzero(suspect).tolist():
+        t = float(submitted[i])
+        if bad_time[i]:
+            out[i] = ("invalid", f"submitted must be finite, got {t!r}")
+        elif late[i]:
+            out[i] = ("invalid", f"deadline ({float(deadline[i])}) must be >= submitted ({t})")
+        elif bad_client[i] or bad_model[i]:
+            column = "client" if bad_client[i] else "model"
+            table = getattr(batch, f"{column}s")
+            code = int(getattr(batch, column)[i])
+            out[i] = (
+                "invalid",
+                f"{column} code {code} is outside the {column} table ({len(table)} entries)",
+            )
+        else:
+            name = batch.models[batch.model[i]]
+            spec = models.get(name)
+            if spec is None:
+                out[i] = (
+                    "unknown_model",
+                    f"unknown model {name!r}; registered: {sorted(models)}",
+                )
+                continue
+            bad = set(batch.overrides[i]) - set(spec.sampled)
+            if bad:
+                out[i] = (
+                    "bad_override",
+                    f"overrides {sorted(bad)} are not run-time parameters of "
+                    f"{name!r} (run-time: {list(spec.sampled)})",
+                )
+    return out
+
+
+def rejection_errors(batch: RequestBatch, rejected: dict, clock: float) -> ResponseBatch:
+    """One :class:`ErrorResponse` per :func:`validate_rows` entry, in row order."""
+    errors = []
+    for i, (_, message) in rejected.items():
+        at = max(float(batch.submitted[i]), clock)
+        errors.append(
+            ErrorResponse(
+                request_id=int(batch.request_id[i]),
+                client_id=_table_name(batch.clients, batch.client[i]),
+                completed=at if np.isfinite(at) else clock,
+                message=message,
+            )
+        )
+    return ResponseBatch.from_responses(errors)
+
+
 class PredictionServer:
     """Online stochastic-prediction service over a live NWS deployment."""
 
@@ -365,6 +439,11 @@ class PredictionServer:
         # kept in park order, so a stable sort by completion time
         # delivers ties in the order they were computed.
         self._parked: list[ResponseBatch] = []
+        # The last batch taken off the queue, with the mask of queue rows
+        # it left behind (``None``: it took them all).  While it is in
+        # service (``_busy_until > _clock``) its rows are admitted but
+        # undelivered, and ``drain`` returns them in admission order.
+        self._serving: tuple[RequestBatch, np.ndarray | None] | None = None
         # Per-model compiled-plan memo (or the name of the error that
         # keeps a model off the vectorised engine).  The engine's own
         # plan cache already dedupes compilation, but a cache *hit*
@@ -448,6 +527,11 @@ class PredictionServer:
         """Requests admitted and waiting for service."""
         return self._queued
 
+    @property
+    def in_flight(self) -> int:
+        """Requests admitted and not yet delivered: queued or in service."""
+        return self._queued + (len(self._serving[0]) if self._busy_until > self._clock else 0)
+
     # ------------------------------------------------------------------
     # The per-request protocol: a view over the batch engine
     # ------------------------------------------------------------------
@@ -494,21 +578,11 @@ class PredictionServer:
         now = np.maximum(batch.submitted, self._clock)
         parts: list[ResponseBatch] = []
 
-        rejected = self._rejections(batch)
+        rejected = validate_rows(batch, self._models)
         valid = batch
         if rejected:
             self.metrics.counter("errors_total").inc(len(rejected))
-            parts.append(
-                ResponseBatch.from_responses(
-                    ErrorResponse(
-                        request_id=int(batch.request_id[i]),
-                        client_id=_table_name(batch.clients, batch.client[i]),
-                        completed=float(now[i]) if np.isfinite(now[i]) else self._clock,
-                        message=message,
-                    )
-                    for i, (_, message) in rejected.items()
-                )
-            )
+            parts.append(rejection_errors(batch, rejected, self._clock))
             keep = np.ones(n, dtype=bool)
             keep[list(rejected)] = False
             valid, now = batch.select(keep), now[keep]
@@ -542,59 +616,6 @@ class PredictionServer:
             self._queued += len(valid)
             self.metrics.gauge("queue_depth").set(self._queued)
         return ResponseBatch.concat(parts)
-
-    def _rejections(self, batch: RequestBatch) -> dict[int, tuple[str, str]]:
-        """Rows the server refuses, as ``{row: (why, message)}`` in row order.
-
-        The contract :class:`PredictRequest` enforces at construction
-        (same messages), plus what only columns can get wrong (codes
-        outside the intern tables) and what only the server knows
-        (registered models and their run-time parameters).
-        """
-        submitted, deadline = batch.submitted, batch.deadline
-        bad_time = ~np.isfinite(submitted)
-        late = deadline < submitted
-        # Negative codes wrap to huge unsigned ones: one bound check each.
-        bad_client = batch.client.view(np.uint32) >= len(batch.clients)
-        bad_model = batch.model.view(np.uint32) >= len(batch.models)
-        suspect = bad_time | late | bad_client | bad_model
-        if not all(m in self._models for m in batch.models):
-            known = np.array([m in self._models for m in batch.models] + [True])
-            suspect |= ~known[np.minimum(batch.model.view(np.uint32), len(batch.models))]
-        if batch.overrides is not None:
-            suspect |= np.fromiter((bool(o) for o in batch.overrides), bool, len(batch))
-        out: dict[int, tuple[str, str]] = {}
-        for i in np.flatnonzero(suspect).tolist():
-            t = float(submitted[i])
-            if bad_time[i]:
-                out[i] = ("invalid", f"submitted must be finite, got {t!r}")
-            elif late[i]:
-                out[i] = ("invalid", f"deadline ({float(deadline[i])}) must be >= submitted ({t})")
-            elif bad_client[i] or bad_model[i]:
-                column = "client" if bad_client[i] else "model"
-                table = getattr(batch, f"{column}s")
-                code = int(getattr(batch, column)[i])
-                out[i] = (
-                    "invalid",
-                    f"{column} code {code} is outside the {column} table ({len(table)} entries)",
-                )
-            else:
-                name = batch.models[batch.model[i]]
-                spec = self._models.get(name)
-                if spec is None:
-                    out[i] = (
-                        "unknown_model",
-                        f"unknown model {name!r}; registered: {self.models}",
-                    )
-                    continue
-                bad = set(batch.overrides[i]) - set(spec.sampled)
-                if bad:
-                    out[i] = (
-                        "bad_override",
-                        f"overrides {sorted(bad)} are not run-time parameters of "
-                        f"{name!r} (run-time: {list(spec.sampled)})",
-                    )
-        return out
 
     def _trace_submissions(self, batch, rejected: dict, verdicts) -> None:
         """Per row, in submission order: a ``request`` span or a reject span.
@@ -697,11 +718,13 @@ class PredictionServer:
         take = np.flatnonzero(queue.model == queue.model[0])[:cap]
         if len(take) == len(queue):
             self._requeue(None)
+            self._serving = (queue, None)
             return queue
         keep = np.ones(len(queue), dtype=bool)
         keep[take] = False
         self._requeue(queue.select(keep))
-        return queue.select(take)
+        self._serving = (queue.select(take), keep)
+        return self._serving[0]
 
     def _requeue(self, rest: RequestBatch | None) -> None:
         self._queue = [rest] if rest is not None and len(rest) else []
@@ -761,18 +784,33 @@ class PredictionServer:
     # ------------------------------------------------------------------
     # Cluster lifecycle hooks
     # ------------------------------------------------------------------
-    def drain(self) -> list[PredictRequest]:
-        """Crash hook: abandon all pending work and return the queue.
+    def drain(self) -> RequestBatch:
+        """Crash hook: abandon all pending work and return it.
 
         Called by a serving cluster the instant this worker's host
-        crashes.  Queued requests are returned (the cluster re-routes
-        them to the shard's replicas); responses computed but not yet
-        delivered are discarded — a dead worker cannot deliver, and the
-        cluster re-issues those requests from its own in-flight registry
-        — and the in-service window is cancelled so a later restart does
-        not resume a half-finished batch.
+        crashes or its drain deadline passes.  Returns every row the
+        worker admitted but has not delivered — the queue plus the batch
+        still in service — as one :class:`RequestBatch` in admission
+        order (the cluster re-routes them to the shard's replicas).
+        Answers computed but not yet delivered are discarded (a dead
+        worker cannot deliver), and the in-service window is cancelled
+        so a later restart does not resume a half-finished batch.
         """
-        dropped = RequestBatch.concat(self._queue).to_requests() if self._queue else []
+        parts = list(self._queue)
+        order = None
+        if self._busy_until > self._clock:
+            batch, keep = self._serving
+            parts.insert(0, batch)
+            if keep is not None:
+                # The batch came from queue positions ~keep; the rows it
+                # left (keep) still head the queue, later admissions follow.
+                later = np.arange(len(keep), len(batch) + self._queued)
+                order = np.argsort(
+                    np.concatenate([np.flatnonzero(~keep), np.flatnonzero(keep), later])
+                )
+        rows = RequestBatch.concat(parts) if parts else RequestBatch.from_requests(())
+        if order is not None:
+            rows = rows.select(order)
         self._requeue(None)
         self._parked = []
         self._busy_until = self._clock
@@ -781,7 +819,7 @@ class PredictionServer:
             for sp in self._req_spans.values():
                 sp.set(outcome="drained").finish(self._clock)
             self._req_spans.clear()
-        return dropped
+        return rows
 
     def restart(self, at: float) -> None:
         """Recovery hook: bring a crashed worker back cold at time ``at``.

@@ -199,6 +199,26 @@ class TestWorkerHooks:
         assert server.queue_depth == 0
         assert server.step(server.now + 5.0) == []
 
+    @pytest.mark.parametrize("models", ["abab", "aaaa"], ids=["interleaved", "whole-queue"])
+    def test_drain_returns_in_service_rows_in_admission_order(self, models):
+        # The first batch takes every queued row of the head row's
+        # model -- rows 0 and 2 of a/b/a/b, interleaved with the rows it
+        # leaves queued -- and is still in service when the worker dies.
+        server, _, _ = demo_server(
+            duration=300.0, config=ServerConfig(service_time_base=1.0), rng=3
+        )
+        t0 = server.now
+        names = dict(zip("ab", server.models))
+        for i, m in enumerate(models):
+            assert server.submit(request(names[m], request_id=i, submitted=t0)) is None
+        assert server.step(t0 + 0.5) == []
+        assert server.submit(request(names["b"], request_id=4, submitted=t0 + 0.5)) is None
+        assert server.in_flight == 5
+        dropped = server.drain()
+        assert [r.request_id for r in dropped] == [0, 1, 2, 3, 4]
+        assert server.in_flight == 0 and server.queue_depth == 0
+        assert server.step(t0 + 5.0) == []
+
     def test_restart_jumps_the_clock_and_colds_the_cache(self):
         server, _, _ = demo_server(duration=300.0, rng=3)
         server.submit(request("sor-600"))

@@ -15,13 +15,17 @@ to feeding the same rows as columns.  This file is that contract:
 * **Path equivalence** — the same seeded workload submitted per-request
   vs as one ``RequestBatch`` produces bit-identical responses from a
   server and from a cluster (values, tags, sheds, worker attribution,
-  batch membership).
+  batch membership), the cluster also under a crash, its token bucket,
+  an elastic forced drain and a tracer.
 * **Row validation** — a malformed row gets its own typed error and
-  never fails the step.
+  never fails the step, at a worker and at a cluster's front door.
 * **Bugfix regressions** — delivery preserves stable
   completion order; the deadline boundary is inclusive (equal instant
   is served) on both the server path and cluster re-routing.
 """
+
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +33,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.stochastic import StochasticValue
+from repro.faults import FaultPlan
 from repro.nws.service import QUALITIES
+from repro.obs import Tracer
+from repro.serving import ClusterConfig, ElasticConfig, StaticPolicy
 from repro.serving.admission import AdmissionController, AdmissionPolicy
 from repro.serving.columnar import (
     ADMIT,
@@ -300,6 +307,58 @@ def _equivalence_config():
     )
 
 
+def _victim(cluster):
+    """The primary of the first model's shard: crashing it forces failover."""
+    return cluster.owners(cluster.models[0])[0]
+
+
+def _slow_worker():
+    """The equivalence worker, slow enough to hold work when it is taken down."""
+    return replace(_equivalence_config(), service_time_base=0.05)
+
+
+def _cluster(*, crash=False, worker=None, config=None, **kwargs):
+    """A demo cluster; ``crash`` takes the first model's primary down mid-drive."""
+    if crash:
+        probe, _, _ = demo_cluster(duration=300.0, rng=5)
+        t0 = probe.now
+        kwargs["faults"] = FaultPlan.crashes({_victim(probe): [(t0 + 0.55, t0 + 1.55)]})
+        worker = _slow_worker()
+    config = ClusterConfig(worker=worker or _equivalence_config(), **(config or {}))
+    return demo_cluster(duration=300.0, config=config, rng=5, **kwargs)[0]
+
+
+def _drain_victim_after(offset):
+    """A drive hook: begin draining the first model's primary ``offset`` s in."""
+
+    def during(cluster, elapsed):
+        if elapsed > offset and not cluster.metrics.counter("scale_downs_total").value:
+            cluster.begin_drain(_victim(cluster), cluster.now)
+
+    return during
+
+
+def _no_op(cluster, elapsed):
+    return None
+
+
+_CLUSTER_SETUPS = {
+    "healthy": (_cluster, _no_op),
+    "crash": (lambda: _cluster(crash=True), _no_op),
+    "throttle": (lambda: _cluster(config={"cluster_rate": 60.0, "cluster_burst": 8.0}), _no_op),
+    # The drained primary still holds work at its drain deadline, so the
+    # remainder is force-migrated.
+    "elastic-drain": (
+        lambda: _cluster(
+            worker=_slow_worker(),
+            elastic=ElasticConfig(policy=StaticPolicy(), drain_grace=0.01),
+        ),
+        _drain_victim_after(0.5),
+    ),
+    "tracer": (lambda: _cluster(crash=True, tracer=Tracer()), _no_op),
+}
+
+
 class TestPathEquivalence:
     def test_server_columnar_answers_bit_identical(self):
         s_scalar, _, _ = demo_server(config=_equivalence_config(), rng=5)
@@ -330,29 +389,55 @@ class TestPathEquivalence:
             assert ms.get(key, 0) == mc.get(key, 0), key
 
     def test_cluster_columnar_answers_bit_identical(self):
-        c_scalar, _, _ = demo_cluster(rng=5)
-        c_columnar, _, _ = demo_cluster(rng=5)
-        assert c_columnar.columnar_fast_path
-        reqs = _mixed_requests(c_scalar.models, n=200)
+        self._assert_cluster_surfaces_agree("healthy")
 
-        out_scalar = []
-        for r in reqs:
-            immediate = c_scalar.submit(r)
-            if immediate is not None:
-                out_scalar.append(immediate)
-        out_scalar += list(c_scalar.step(120.0))
+    @pytest.mark.parametrize("setup", sorted(set(_CLUSTER_SETUPS) - {"healthy"}))
+    def test_cluster_columnar_answers_bit_identical_with(self, setup):
+        # Every feature that makes routing or delivery stateful (a
+        # crash, the cluster token bucket, an elastic drain, a tracer)
+        # runs on the same engine, so both surfaces still agree.
+        self._assert_cluster_surfaces_agree(setup)
 
-        batch = RequestBatch.from_requests(reqs)
-        rb = c_columnar.submit_batch(batch)
-        out_columnar = rb.to_responses() + c_columnar.step_batch(120.0).to_responses()
+    def _assert_cluster_surfaces_agree(self, setup):
+        """Same responses in the same order -- values, worker attribution,
+        failover tags, degraded quality, retry hints -- and the same
+        cluster counters through submit/step and submit_batch/step_batch."""
+        build, during = _CLUSTER_SETUPS[setup]
+        c_scalar, c_columnar = build(), build()
+        t0 = c_scalar.now
+        reqs = _mixed_requests(c_scalar.models, n=200, t0=t0)
+        out_scalar, out_columnar = [], []
+        pos = 0
+        for k in range(1, 301):
+            to = t0 + 0.1 * k
+            due = [r for r in reqs[pos:] if r.submitted <= to]
+            pos += len(due)
+            for cluster in (c_scalar, c_columnar):
+                during(cluster, to - t0)
+            out_scalar += [r for r in map(c_scalar.submit, due) if r is not None]
+            out_scalar += c_scalar.step(to)
+            if due:
+                out_columnar += c_columnar.submit_batch(
+                    RequestBatch.from_requests(due)
+                ).to_responses()
+            out_columnar += c_columnar.step_batch(to).to_responses()
 
-        by_id_s = {r.request_id: r for r in out_scalar}
-        by_id_c = {r.request_id: r for r in out_columnar}
-        assert set(by_id_s) == set(by_id_c) == {r.request_id for r in reqs}
-        for rid in by_id_s:
-            # Includes worker attribution: views must carry the shard
-            # owner's name exactly as the scalar path stamps it.
-            assert by_id_s[rid] == by_id_c[rid]
+        assert sorted(r.request_id for r in out_scalar) == [r.request_id for r in reqs]
+        assert out_scalar == out_columnar
+        counters = c_scalar.metrics.snapshot()["counters"]
+        assert counters == c_columnar.metrics.snapshot()["counters"]
+        assert counters["responses_ok"] > 0
+        if setup == "crash":
+            assert counters["requeued_total"] > 0 and counters["failovers_total"] > 0
+            assert any(r.failover and r.quality != "fresh" for r in out_scalar if r.ok)
+        elif setup == "throttle":
+            assert counters["shed_throttled"] > 0
+        elif setup == "elastic-drain":
+            assert counters["workers_retired_total"] == 1
+            assert counters["requeued_total"] > 0
+        elif setup == "tracer":
+            names = [Counter(sp.name for sp in c.tracer.spans) for c in (c_scalar, c_columnar)]
+            assert names[0] == names[1] and names[0]["cluster.deliver"] > 0
 
     def test_ragged_rows_fall_back_to_scalar_path(self):
         # Overrides/precision don't vectorise; submit_batch must split
@@ -447,7 +532,66 @@ def _contract_message(**kw):
     return str(exc.value)
 
 
+def _probe_rows(model, t0, bad_row):
+    """Rows 0 and 2 are well formed; row 1 breaks the contract as ``bad_row`` says."""
+    rows = dict(
+        request_id=np.arange(3),
+        client=np.zeros(3),
+        clients=("ann",),
+        model=np.zeros(3),
+        models=(model,),
+        submitted=np.full(3, t0),
+        deadline=np.full(3, NO_DEADLINE),
+    )
+    for column, value in bad_row.items():
+        if column in ("models", "overrides"):
+            rows[column] = value
+        else:
+            rows[column][1] = value
+    return RequestBatch(**rows)
+
+
+#: One malformed row per broken clause of the input contract, with the
+#: message its ErrorResponse must carry.
+_BAD_ROWS = {
+    "nan-submitted": ({"submitted": np.nan}, "submitted must be finite, got nan"),
+    "deadline-before-submitted": ({"deadline": -1.0}, "must be >= submitted"),
+    "model-code-outside-table": ({"model": 7}, "model code 7 is outside the model table"),
+    "negative-model-code": ({"model": -1}, "model code -1 is outside the model table"),
+    "unknown-model": ({"model": 1, "models": None}, "unknown model 'nope'"),
+    "bad-override": (
+        {"overrides": ({}, {"nope": 1.0}, {})},
+        "overrides ['nope'] are not run-time parameters",
+    ),
+}
+
+
 class TestRowValidation:
+    @pytest.mark.parametrize("crash", [False, True], ids=["healthy", "crash-scheduled"])
+    @pytest.mark.parametrize("bad", sorted(_BAD_ROWS))
+    def test_cluster_answers_each_bad_row_at_its_front_door(self, bad, crash):
+        # A crash scheduled far in the future must not change how a row
+        # submitted now is answered: the bad row gets its own error,
+        # counted by the cluster and never handed to a worker, and the
+        # good rows around it are served.
+        faults = FaultPlan.crashes({"worker-3": [(1e6, 1e6 + 1)]}) if crash else None
+        cluster, _, _ = demo_cluster(duration=300.0, faults=faults, rng=5)
+        t0 = cluster.now
+        bad_row, message = _BAD_ROWS[bad]
+        if "models" in bad_row:
+            bad_row = {**bad_row, "models": (cluster.models[0], "nope")}
+        batch = _probe_rows(cluster.models[0], t0, bad_row)
+        immediate = cluster.submit_batch(batch).to_responses()
+        served = cluster.step_batch(t0 + 10.0).to_responses()
+        assert [(r.request_id, r.status, r.worker) for r in immediate] == [(1, "error", "")]
+        assert message in immediate[0].message
+        assert sorted(r.request_id for r in served) == [0, 2]
+        assert all(r.ok for r in served)
+        counters = cluster.metrics.snapshot()["counters"]
+        assert (counters["requests_total"], counters["errors_total"]) == (3, 1)
+        handed = sum(w.metrics.counter("requests_total").value for w in cluster.workers.values())
+        assert handed == 2
+
     def _submit(self, columns):
         server, _, _ = demo_server(rng=5)
         t0 = server.now
@@ -585,28 +729,34 @@ class TestDeadlineBoundary:
         # Satellite regression: before the sweep, in-flight migration
         # shed `deadline <= t` while worker-side shedding used
         # `deadline < t`, so the same trace shed different requests
-        # depending on whether a crash happened to move it.
-        cluster, _, _ = demo_cluster(rng=5)
-        healthy = set(cluster.workers)
+        # depending on whether a crash happened to move it.  Here the
+        # first model's primary serves two rows a second: four filler
+        # rows go first, and it crashes at tc with both probe rows in
+        # service, so the replica gets exactly the probes at tc.
+        worker = ServerConfig(batch_max=2, service_time_base=1.0)
+        probe, _, _ = demo_cluster(duration=300.0, rng=5)
+        t0, primary, model = probe.now, _victim(probe), probe.models[0]
+        tc = t0 + 2.5
+        cluster, _, _ = demo_cluster(
+            duration=300.0,
+            config=ClusterConfig(worker=worker),
+            faults=FaultPlan.crashes({primary: [(tc, tc + 100.0)]}),
+            rng=5,
+        )
+        rows = [
+            PredictRequest(request_id=i, client_id="ann", model=model, submitted=t0)
+            for i in range(4)
+        ]
+        rows.append(PredictRequest(request_id=4, client_id="bob", model=model,
+                                   submitted=t0, deadline=tc))
+        rows.append(PredictRequest(request_id=5, client_id="cyd", model=model,
+                                   submitted=t0, deadline=tc - 1e-9))
+        assert all(cluster.submit(r) is None for r in rows)
+        out = {r.request_id: r for r in cluster.step(tc + 10.0)}
 
-        served = PredictRequest(request_id=1, client_id="ann",
-                                model=cluster.models[0], submitted=0.0,
-                                deadline=50.0)
-        cluster.submit(served)
-        out: list = []
-        key = ("ann", 1)
-        assert key in cluster._inflight
-        requeued, shed = cluster._requeue([key], 50.0, healthy, out)
-        assert (requeued, shed) == (1, 0)
-        assert not any(r.status == "overloaded" for r in out)
-
-        dead = PredictRequest(request_id=2, client_id="bob",
-                              model=cluster.models[0], submitted=0.0,
-                              deadline=50.0)
-        cluster.submit(dead)
-        out = []
-        key = ("bob", 2)
-        requeued, shed = cluster._requeue([key], 50.0 + 1e-9, healthy, out)
-        assert (requeued, shed) == (0, 1)
-        assert out[0].status == "overloaded"
-        assert out[0].reason == SHED_DEADLINE
+        assert all(out[i].ok and out[i].worker == primary for i in range(4))
+        served, dead = out[4], out[5]
+        assert served.ok and served.failover and served.worker != primary
+        assert dead.status == "overloaded" and dead.reason == SHED_DEADLINE
+        assert dead.completed == tc
+        assert cluster.metrics.counter("requeued_total").value == 1
