@@ -469,7 +469,6 @@ def _cmd_serve(args) -> int:
     if args.precision is not None:
         precision = PrecisionTarget.parse(args.precision, max_samples=args.samples)
     config = ServerConfig(
-        mode=args.mode,
         batch_max=args.batch_max,
         n_samples=args.samples,
         admission=AdmissionPolicy(
@@ -852,7 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--think-time", type=float, default=0.0)
     p.add_argument("--duration", type=float, default=None,
                    help="simulated drive window in seconds")
-    p.add_argument("--mode", choices=("batched", "reference"), default="batched")
     p.add_argument("--batch-max", type=int, default=64)
     p.add_argument("--samples", type=int, default=400)
     p.add_argument("--max-queue", type=int, default=256)

@@ -89,6 +89,7 @@ from repro.serving.server import (
     ModelSpec,
     PredictionServer,
     ServerConfig,
+    _in_row_order,
     _unanswered,
     rejection_errors,
     validate_rows,
@@ -124,17 +125,6 @@ def _answered_rows(batch: RequestBatch, rb: ResponseBatch) -> np.ndarray:
     for i, key in enumerate(_keys(batch)):
         rows.setdefault(key, []).append(i)
     return np.array([rows[key].pop(0) for key in _keys(rb)], dtype=np.int64)
-
-
-def _in_row_order(parts: list) -> ResponseBatch:
-    """``(rows, ResponseBatch)`` parts merged back into row order."""
-    if not parts:
-        return ResponseBatch.empty()
-    if len(parts) == 1 and len(parts[0][0]) == 1:
-        return parts[0][1]
-    rows = np.concatenate([r for r, _ in parts])
-    merged = ResponseBatch.concat([rb for _, rb in parts])
-    return merged.select(np.argsort(rows, kind="stable"))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ moment evaluation was vectorised, and object plumbing took its place.
 This module is the array-native core that removes it:
 
 * :class:`RequestBatch` — parallel NumPy arrays (submitted, deadline,
-  model code, client code, n_samples, precision) describing many
+  model code, client code, precision) describing many
   requests at once, with small interning tables for the string-valued
   columns.  The typed protocol survives as a **lazy view**: indexing a
   batch materialises the exact :class:`~repro.serving.protocol.PredictRequest`
@@ -116,12 +116,6 @@ class RequestBatch:
     client, clients / model, models:
         Interned string columns: ``client``/``model`` are integer codes
         into the ``clients``/``models`` tables.
-    n_samples:
-        Per-request draw budget; ``0`` means "the server's configured
-        default".  The scalar protocol has no such field yet, so
-        round-tripping through dataclass views keeps it at 0 — it
-        exists so batch producers can pre-negotiate budgets without a
-        per-request object.
     overrides, precision:
         Optional tuple sidecars (one entry per request) for the ragged
         payloads the protocol allows.  ``None`` (the hot-path case)
@@ -136,7 +130,6 @@ class RequestBatch:
         "models",
         "submitted",
         "deadline",
-        "n_samples",
         "overrides",
         "precision",
     )
@@ -150,7 +143,6 @@ class RequestBatch:
         models: tuple,
         submitted: np.ndarray,
         deadline: np.ndarray,
-        n_samples: np.ndarray | None = None,
         overrides: tuple | None = None,
         precision: tuple | None = None,
     ):
@@ -162,14 +154,9 @@ class RequestBatch:
         self.submitted = np.asarray(submitted, dtype=float)
         self.deadline = np.asarray(deadline, dtype=float)
         n = self.request_id.shape[0]
-        self.n_samples = (
-            np.zeros(n, dtype=np.int32)
-            if n_samples is None
-            else np.asarray(n_samples, dtype=np.int32)
-        )
         self.overrides = overrides
         self.precision = precision
-        for name in ("client", "model", "submitted", "deadline", "n_samples"):
+        for name in ("client", "model", "submitted", "deadline"):
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise ValueError(
@@ -244,7 +231,6 @@ class RequestBatch:
             models=self.models,
             submitted=self.submitted[index],
             deadline=self.deadline[index],
-            n_samples=self.n_samples[index],
             overrides=None
             if self.overrides is None
             else tuple(self.overrides[i] for i in index),
@@ -275,7 +261,6 @@ class RequestBatch:
             models=models,
             submitted=np.concatenate([b.submitted for b in batches]),
             deadline=np.concatenate([b.deadline for b in batches]),
-            n_samples=np.concatenate([b.n_samples for b in batches]),
             overrides=None
             if not any_over
             else tuple(

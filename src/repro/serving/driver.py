@@ -16,6 +16,9 @@ grid, reusing the arrival-process idioms of
   request in flight: submit, wait for the response, think, submit
   again.  Shed clients back off by the server's ``retry_after`` advice.
 
+Both drivers draw their requests from one seeded generator: one
+arrival function, one model picker and one ``model_weights`` parser.
+
 Every run is bit-reproducible from a seed: arrival draws, model choice
 and the server's own sampling all flow from seeded generators, and time
 is simulated throughout.  Wall-clock time is measured only as an
@@ -58,11 +61,6 @@ class OpenLoop:
             check_positive(self.rate, "rate")
         if self.clients < 1:
             raise ValueError(f"clients must be >= 1, got {self.clients}")
-
-    @property
-    def schedule(self) -> RateSchedule | None:
-        """The rate schedule, or ``None`` for the constant-rate case."""
-        return self.rate if isinstance(self.rate, RateSchedule) else None
 
 
 @dataclass(frozen=True)
@@ -128,8 +126,125 @@ class DriveReport:
         )
 
 
-class LoadDriver:
+def latency_summary(latencies) -> tuple[float, float, float]:
+    """``(p50, p99, max)`` of answered latencies; NaNs when there are none.
+
+    The rule every drive report and scenario uses: sorted values at
+    index ``n // 2`` and ``min(n - 1, int(0.99 * n))``, and the last.
+    """
+    lat = np.sort(np.asarray(latencies, dtype=float))
+    n = lat.size
+    if n == 0:
+        return float("nan"), float("nan"), float("nan")
+    return float(lat[n // 2]), float(lat[min(n - 1, int(0.99 * n))]), float(lat[-1])
+
+
+class _RequestSource:
+    """The seeded request generator both load drivers share.
+
+    Checks and holds the drive's bounds and deadline; one generator
+    draws the arrival instants, then the model codes.  ``rate`` is a
+    constant, a :class:`~repro.serving.schedules.RateSchedule`, or
+    ``None`` for a closed loop.
+    """
+
+    #: Constant-rate arrival gaps drawn per vectorised chunk.
+    ARRIVAL_CHUNK = 1 << 16
+
+    def __init__(
+        self, server, models, rate, max_requests, duration, deadline, rng, model_weights
+    ):
+        if not models:
+            raise ValueError("models must be non-empty")
+        if max_requests is None and duration is None:
+            raise ValueError("need max_requests and/or duration to bound the drive")
+        if deadline is not None:
+            check_positive(deadline, "deadline")
+        self.server = server
+        self.models = list(models)
+        self.rate = rate
+        self.max_requests = max_requests
+        self.duration = duration
+        self.deadline = deadline
+        self._rng = as_generator(rng)
+        self._cum_weights = None
+        if model_weights is not None:
+            unknown = set(model_weights) - set(self.models)
+            if unknown:
+                raise ValueError(
+                    f"model_weights name unknown models {sorted(unknown)}; "
+                    f"drive models: {self.models}"
+                )
+            raw = np.array([float(model_weights.get(m, 0.0)) for m in self.models])
+            if np.any(raw < 0.0) or raw.sum() <= 0.0:
+                raise ValueError("model_weights must be non-negative with a positive sum")
+            self._cum_weights = np.cumsum(raw / raw.sum())
+
+    def _model_codes(self, size: int | None = None):
+        """Seeded model codes: one (``size=None``) or an array of ``size``.
+
+        Uniform by default, else by inverse CDF over ``model_weights``.
+        """
+        n = len(self.models)
+        if self._cum_weights is None:
+            return self._rng.integers(n, size=size)
+        idx = np.searchsorted(self._cum_weights, self._rng.random(size), side="right")
+        return np.minimum(idx, n - 1)
+
+    def _arrival_times(self, start: float) -> np.ndarray:
+        """Seeded open-loop arrival instants, in order.
+
+        A constant rate draws exponential gaps in vectorised chunks and
+        sums them in sequence from ``start``; a chunk that crosses the
+        horizon is redrawn from a snapshot of the generator up to the
+        first gap past it, so the instants and the generator state left
+        behind equal a one-gap-at-a-time loop bit for bit.  A
+        :class:`~repro.serving.schedules.RateSchedule` is realised by
+        Lewis–Shedler thinning: candidates arrive at the schedule's
+        ``max_rate`` and each survives with probability
+        ``rate_at(t) / max_rate`` — an exact non-homogeneous Poisson
+        process, still bit-reproducible from the seed.
+        """
+        horizon = start + (self.duration if self.duration is not None else float("inf"))
+        budget = self.max_requests if self.max_requests is not None else float("inf")
+        rng = self._rng
+        if isinstance(self.rate, RateSchedule):
+            schedule, lam_max = self.rate, self.rate.max_rate
+            out: list[float] = []
+            t = start
+            while len(out) < budget:
+                t += float(rng.exponential(1.0 / lam_max))
+                if t > horizon:
+                    break
+                if float(rng.random()) * lam_max <= schedule.rate_at(t - start):
+                    out.append(t)
+            return np.array(out, dtype=float)
+        scale = 1.0 / self.rate
+        parts = [np.empty(0)]
+        t, total = start, 0
+        while total < budget:
+            m = int(min(self.ARRIVAL_CHUNK, budget - total))
+            state = rng.bit_generator.state
+            seg = np.cumsum(np.concatenate(([t], rng.exponential(scale, size=m))))[1:]
+            if seg[-1] > horizon:
+                cut = int(np.searchsorted(seg, horizon, side="right"))
+                rng.bit_generator.state = state
+                rng.exponential(scale, size=cut + 1)
+                parts.append(seg[:cut])
+                break
+            parts.append(seg)
+            total += m
+            t = float(seg[-1])
+        return np.concatenate(parts)
+
+
+class LoadDriver(_RequestSource):
     """Drives seeded client load through a server's event loop.
+
+    Requests come from the generator it shares with
+    :class:`ColumnarLoadDriver`: open-loop arrival instants are drawn up
+    front, and each submission then picks its model from the same
+    generator.
 
     Parameters
     ----------
@@ -187,85 +302,14 @@ class LoadDriver:
     ):
         if not isinstance(workload, (OpenLoop, ClosedLoop)):
             raise TypeError(f"workload must be OpenLoop or ClosedLoop, got {workload!r}")
-        if not models:
-            raise ValueError("models must be non-empty")
-        if max_requests is None and duration is None:
-            raise ValueError("need max_requests and/or duration to bound the drive")
         check_positive(tick, "tick")
-        if deadline is not None:
-            check_positive(deadline, "deadline")
-        self.server = server
-        self.models = list(models)
+        rate = workload.rate if isinstance(workload, OpenLoop) else None
+        super().__init__(
+            server, models, rate, max_requests, duration, deadline, rng, model_weights
+        )
         self.workload = workload
-        self.max_requests = max_requests
-        self.duration = duration
-        self.deadline = deadline
         self.precision = precision
         self.tick = tick
-        self._rng = as_generator(rng)
-        self._start = server.now
-        self._cum_weights = None
-        if model_weights is not None:
-            unknown = set(model_weights) - set(self.models)
-            if unknown:
-                raise ValueError(
-                    f"model_weights name unknown models {sorted(unknown)}; "
-                    f"drive models: {self.models}"
-                )
-            raw = np.array([float(model_weights.get(m, 0.0)) for m in self.models])
-            if np.any(raw < 0.0) or raw.sum() <= 0.0:
-                raise ValueError("model_weights must be non-negative with a positive sum")
-            self._cum_weights = np.cumsum(raw / raw.sum())
-
-    # ------------------------------------------------------------------
-    def _pick_model(self) -> str:
-        if self._cum_weights is None:
-            return self.models[int(self._rng.integers(len(self.models)))]
-        idx = int(np.searchsorted(self._cum_weights, float(self._rng.random()), side="right"))
-        return self.models[min(idx, len(self.models) - 1)]
-
-    def _arrival_times(self, start: float) -> list[float]:
-        """Seeded open-loop arrival instants, in order.
-
-        A constant rate replays the original homogeneous draw sequence
-        bit-for-bit.  A :class:`~repro.serving.schedules.RateSchedule`
-        is realised by Lewis–Shedler thinning: candidates arrive at the
-        schedule's ``max_rate`` and each survives with probability
-        ``rate_at(t) / max_rate`` — an exact non-homogeneous Poisson
-        process, still bit-reproducible from the seed.
-        """
-        horizon = start + (self.duration if self.duration is not None else float("inf"))
-        n_budget = self.max_requests if self.max_requests is not None else float("inf")
-        schedule = self.workload.schedule
-        out: list[float] = []
-        t = start
-        if schedule is None:
-            while len(out) < n_budget:
-                t += float(self._rng.exponential(1.0 / self.workload.rate))
-                if t > horizon:
-                    break
-                out.append(t)
-            return out
-        lam_max = schedule.max_rate
-        while len(out) < n_budget:
-            t += float(self._rng.exponential(1.0 / lam_max))
-            if t > horizon:
-                break
-            if float(self._rng.random()) * lam_max <= schedule.rate_at(t - start):
-                out.append(t)
-        return out
-
-    def _make_request(self, client: str, submitted: float, request_id: int) -> PredictRequest:
-        model = self._pick_model()
-        deadline = None if self.deadline is None else submitted + self.deadline
-        return PredictRequest(
-            request_id=request_id,
-            client_id=client,
-            model=model,
-            submitted=submitted,
-            deadline=deadline,
-            precision=self.precision,
-        )
 
     def run(self) -> DriveReport:
         """Play the workload to completion and summarise it."""
@@ -275,17 +319,14 @@ class LoadDriver:
         self._start = start
         wall0 = time.perf_counter()
 
-        # (due_time, seq, client) submission events.
-        events: list[tuple[float, int, str]] = []
-        seq = 0
+        # (due_time, seq, client) submission events: sorted, so already a heap.
         if isinstance(self.workload, ClosedLoop):
-            for c in range(self.workload.clients):
-                heapq.heappush(events, (start, seq, f"client-{c}"))
-                seq += 1
+            due = [start] * self.workload.clients
         else:
-            for t in self._arrival_times(start):
-                heapq.heappush(events, (t, seq, f"client-{seq % self.workload.clients}"))
-                seq += 1
+            due = self._arrival_times(start).tolist()
+        clients = self.workload.clients
+        events = [(t, seq, f"client-{seq % clients}") for seq, t in enumerate(due)]
+        seq = len(events)
 
         in_flight = 0
         next_id = 0
@@ -315,7 +356,15 @@ class LoadDriver:
             # Submissions due this tick (skipped once the budget is spent).
             while events and events[0][0] <= now and self._submitting(report):
                 due, _, client = heapq.heappop(events)
-                req = self._make_request(client, max(due, server.now), next_id)
+                submitted = max(due, server.now)
+                req = PredictRequest(
+                    request_id=next_id,
+                    client_id=client,
+                    model=self.models[int(self._model_codes())],
+                    submitted=submitted,
+                    deadline=None if self.deadline is None else submitted + self.deadline,
+                    precision=self.precision,
+                )
                 next_id += 1
                 report.submitted += 1
                 in_flight += 1
@@ -333,13 +382,9 @@ class LoadDriver:
 
         report.sim_duration = now - start
         report.wall_seconds = time.perf_counter() - wall0
-        lat = sorted(
-            r.latency for r in report.responses if r.status == "ok"
+        report.latency_p50, report.latency_p99, report.latency_max = latency_summary(
+            [r.latency for r in report.responses if r.status == "ok"]
         )
-        if lat:
-            report.latency_p50 = lat[len(lat) // 2]
-            report.latency_p99 = lat[min(len(lat) - 1, int(0.99 * len(lat)))]
-            report.latency_max = lat[-1]
         return report
 
     def _submitting(self, report: DriveReport) -> bool:
@@ -351,16 +396,15 @@ class LoadDriver:
         return True
 
 
-class ColumnarLoadDriver:
+class ColumnarLoadDriver(_RequestSource):
     """Open-loop load through the columnar ``submit_batch`` surface.
 
     The array-native twin of :class:`LoadDriver`, built for soak runs
     of a million-plus requests where the scalar driver's per-request
     object churn *is* the benchmark noise.  Three things change:
 
-    * Arrival instants are drawn as vectorised exponential cumulative
-      sums (chunked, still a plain seeded Poisson process) instead of
-      one Python-level draw per request.
+    * The whole drive's arrivals and model codes are drawn up front,
+      as arrays, from the same generator :class:`LoadDriver` uses.
     * Requests are built directly as :class:`RequestBatch` columns —
       no :class:`~repro.serving.protocol.PredictRequest` is ever
       materialised on the hot path.  Each simulated ``window`` the
@@ -374,34 +418,24 @@ class ColumnarLoadDriver:
 
     The report's ``responses`` list stays empty — that is the point.
     Works against any server exposing ``submit_batch`` / ``step_batch``
-    / ``now`` / ``queue_depth`` (a single
-    :class:`~repro.serving.server.PredictionServer` or a
-    :class:`~repro.serving.cluster.ServingCluster`, whose crash
-    migration, elastic drains, global bucket and tracing all run on
-    that batch surface too).
+    / ``now`` / ``queue_depth``: a
+    :class:`~repro.serving.server.PredictionServer` or a whole
+    :class:`~repro.serving.cluster.ServingCluster`.
 
     Parameters
     ----------
-    server:
-        Target exposing the columnar batch surface.
-    models:
-        Model names traffic draws from (uniformly unless
-        ``model_weights`` skews it), seeded.
+    server, models, max_requests, duration, deadline, rng, model_weights:
+        As for :class:`LoadDriver`; ``server`` must expose the columnar
+        batch surface.
     rate:
         Constant open-loop arrival rate, requests per simulated second.
     clients:
         Round-robin client-identity population (``client-0`` …).
-    max_requests / duration:
-        Submission budget — at least one must be given.
-    deadline:
-        Relative per-request deadline; ``None`` waits forever.
     window:
         Simulated seconds per drive step.  Coarser than the scalar
         driver's ``tick`` because a whole window of arrivals is one
         batch; it bounds how much simulated time can pass between
         server steps, not answer accuracy.
-    rng:
-        Seed for arrivals and model choice.
     progress / progress_every:
         Optional soak-run instrumentation: ``progress(answered,
         wall_seconds)`` is called each time another ``progress_every``
@@ -428,69 +462,19 @@ class ColumnarLoadDriver:
         progress=None,
         progress_every: int = 100_000,
     ):
-        if not models:
-            raise ValueError("models must be non-empty")
-        if max_requests is None and duration is None:
-            raise ValueError("need max_requests and/or duration to bound the drive")
         check_positive(rate, "rate")
         check_positive(window, "window")
         if clients < 1:
             raise ValueError(f"clients must be >= 1, got {clients}")
-        if deadline is not None:
-            check_positive(deadline, "deadline")
-        self.server = server
-        self.models = tuple(models)
-        self.rate = float(rate)
+        if progress_every < 1:
+            raise ValueError(f"progress_every must be >= 1, got {progress_every}")
+        super().__init__(
+            server, models, float(rate), max_requests, duration, deadline, rng, model_weights
+        )
         self.clients = clients
-        self.max_requests = max_requests
-        self.duration = duration
-        self.deadline = deadline
         self.window = float(window)
         self.progress = progress
         self.progress_every = int(progress_every)
-        if self.progress_every < 1:
-            raise ValueError(f"progress_every must be >= 1, got {progress_every}")
-        self._rng = as_generator(rng)
-        self._cum_weights = None
-        if model_weights is not None:
-            unknown = set(model_weights) - set(self.models)
-            if unknown:
-                raise ValueError(
-                    f"model_weights name unknown models {sorted(unknown)}; "
-                    f"drive models: {list(self.models)}"
-                )
-            raw = np.array([float(model_weights.get(m, 0.0)) for m in self.models])
-            if np.any(raw < 0.0) or raw.sum() <= 0.0:
-                raise ValueError("model_weights must be non-negative with a positive sum")
-            self._cum_weights = np.cumsum(raw / raw.sum())
-
-    # ------------------------------------------------------------------
-    def _arrivals(self, start: float) -> np.ndarray:
-        """All arrival instants, drawn in vectorised chunks."""
-        horizon = start + (self.duration if self.duration is not None else float("inf"))
-        budget = self.max_requests
-        chunks: list[np.ndarray] = []
-        t = start
-        total = 0
-        chunk = 1 << 16
-        while budget is None or total < budget:
-            m = chunk if budget is None else min(chunk, budget - total)
-            seg = t + np.cumsum(self._rng.exponential(1.0 / self.rate, size=m))
-            if seg[-1] > horizon:
-                seg = seg[seg <= horizon]
-                if seg.size:
-                    chunks.append(seg)
-                break
-            chunks.append(seg)
-            total += m
-            t = float(seg[-1])
-        return np.concatenate(chunks) if chunks else np.empty(0)
-
-    def _model_codes(self, n: int) -> np.ndarray:
-        if self._cum_weights is None:
-            return self._rng.integers(0, len(self.models), size=n).astype(np.int32)
-        idx = np.searchsorted(self._cum_weights, self._rng.random(n), side="right")
-        return np.minimum(idx, len(self.models) - 1).astype(np.int32)
 
     def run(self) -> DriveReport:
         """Play the workload to completion and summarise it."""
@@ -499,13 +483,13 @@ class ColumnarLoadDriver:
         wall0 = time.perf_counter()
         start = server.now
 
-        times = self._arrivals(start)
+        times = self._arrival_times(start)
         n = times.shape[0]
         report.submitted = n
         request_id = np.arange(n, dtype=np.int64)
         client = (request_id % self.clients).astype(np.int32)
         clients_table = tuple(f"client-{c}" for c in range(self.clients))
-        model = self._model_codes(n)
+        model = self._model_codes(n).astype(np.int32)
         deadline = (
             np.full(n, float("inf")) if self.deadline is None else times + self.deadline
         )
@@ -528,9 +512,7 @@ class ColumnarLoadDriver:
             if counts["ok"]:
                 lat_parts.append(rb.latency[rb.ok_mask])
             ids = rb.request_id
-            dup = int(np.count_nonzero(seen[ids]))
-            if dup:  # pragma: no cover - the invariant under test
-                report.duplicates += dup
+            report.duplicates += int(np.count_nonzero(seen[ids]))
             seen[ids] = True
             return m
 
@@ -558,9 +540,7 @@ class ColumnarLoadDriver:
             answered += account(server.step_batch(now))
             if self.progress is not None and answered >= next_mark:
                 self.progress(answered, time.perf_counter() - wall0)
-                next_mark += self.progress_every * (
-                    1 + (answered - next_mark) // self.progress_every
-                )
+                next_mark = (answered // self.progress_every + 1) * self.progress_every
             if pos >= n:
                 if answered >= n and server.queue_depth == 0:
                     break
@@ -573,9 +553,7 @@ class ColumnarLoadDriver:
         report.wall_seconds = time.perf_counter() - wall0
         if self.progress is not None and answered:
             self.progress(answered, report.wall_seconds)
-        if lat_parts:
-            lat = np.sort(np.concatenate(lat_parts))
-            report.latency_p50 = float(lat[lat.size // 2])
-            report.latency_p99 = float(lat[min(lat.size - 1, int(0.99 * lat.size))])
-            report.latency_max = float(lat[-1])
+        report.latency_p50, report.latency_p99, report.latency_max = latency_summary(
+            np.concatenate(lat_parts) if lat_parts else []
+        )
         return report

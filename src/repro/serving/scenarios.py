@@ -43,7 +43,7 @@ from repro.faults.plan import FaultPlan
 from repro.serving.admission import DEFAULT_PRECISION_LADDER
 from repro.serving.cluster import ClusterConfig
 from repro.serving.demo import demo_cluster
-from repro.serving.driver import DriveReport, LoadDriver, OpenLoop
+from repro.serving.driver import DriveReport, LoadDriver, OpenLoop, latency_summary
 from repro.serving.elastic import ElasticConfig, policy_by_name
 from repro.serving.schedules import RateSchedule, schedule_from_spec
 from repro.serving.server import ServerConfig
@@ -441,13 +441,9 @@ def run_scenario(
 
     if scenario.surge is not None:
         lo, hi = (start + scenario.surge[0], start + scenario.surge[1])
-        surge_lat = sorted(
-            r.latency
-            for r in drive.responses
-            if r.ok and lo <= (r.completed - r.latency) <= hi
+        _, report.surge_p99, _ = latency_summary(
+            [r.latency for r in drive.responses if r.ok and lo <= (r.completed - r.latency) <= hi]
         )
-        if surge_lat:
-            report.surge_p99 = surge_lat[min(len(surge_lat) - 1, int(0.99 * len(surge_lat)))]
 
     _check_invariants(scenario, report, drive, start)
     return report

@@ -172,11 +172,6 @@ class ServerConfig:
         Monte Carlo draws per request.
     batch_max:
         Maximum requests answered by one vectorised evaluation.
-    mode:
-        ``"batched"`` (compile-once vectorised batches, the production
-        path) or ``"reference"`` (one per-sample reference-loop
-        evaluation per request — the baseline the serving benchmark
-        measures against).
     service_time_base, service_time_per_request:
         Simulated seconds one evaluation occupies the server:
         ``base + per_request * batch_size``.  This is what creates
@@ -214,7 +209,6 @@ class ServerConfig:
 
     n_samples: int = 400
     batch_max: int = 64
-    mode: str = "batched"
     service_time_base: float = 0.004
     service_time_per_request: float = 0.001
     refresh_interval: float = 5.0
@@ -228,8 +222,6 @@ class ServerConfig:
             raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
         if self.batch_max < 1:
             raise ValueError(f"batch_max must be >= 1, got {self.batch_max}")
-        if self.mode not in ("batched", "reference"):
-            raise ValueError(f"mode must be 'batched' or 'reference', got {self.mode!r}")
         check_positive(self.service_time_base, "service_time_base")
         check_positive(self.service_time_per_request, "service_time_per_request")
         check_positive(self.refresh_interval, "refresh_interval")
@@ -265,8 +257,7 @@ class ServerConfig:
 
     def drain_rate(self) -> float:
         """Service capacity in requests per simulated second."""
-        k = self.batch_max if self.mode == "batched" else 1
-        return k / self.service_time(k)
+        return self.batch_max / self.service_time(self.batch_max)
 
 
 def _consulted(shared: dict, overrides) -> tuple[int, float]:
@@ -404,6 +395,17 @@ def rejection_errors(batch: RequestBatch, rejected: dict, clock: float) -> Respo
             )
         )
     return ResponseBatch.from_responses(errors)
+
+
+def _in_row_order(parts: list) -> ResponseBatch:
+    """``(rows, ResponseBatch)`` parts merged back into row order."""
+    if not parts:
+        return ResponseBatch.empty()
+    if len(parts) == 1 and len(parts[0][0]) == 1:
+        return parts[0][1]
+    rows = np.concatenate([r for r, _ in parts])
+    merged = ResponseBatch.concat([rb for _, rb in parts])
+    return merged.select(np.argsort(rows, kind="stable"))
 
 
 class PredictionServer:
@@ -557,14 +559,15 @@ class PredictionServer:
     def submit_batch(self, batch: RequestBatch) -> ResponseBatch:
         """Validate and admit a whole :class:`RequestBatch`.
 
-        Returns the *immediate* responses: an ``ErrorResponse`` per row
-        that breaks the input contract (non-finite ``submitted``, a
-        deadline before submission, a model or client code outside its
-        intern table, an unknown model, an override of a parameter the
-        model does not sample) and an ``OverloadedResponse`` per row
-        admission sheds.  Admitted rows queue for :meth:`step_batch`.
-        Verdicts — and the token-bucket state left behind — are
-        identical to submitting the rows one at a time.
+        Returns the *immediate* responses in row order: an
+        ``ErrorResponse`` per row that breaks the input contract
+        (non-finite ``submitted``, a deadline before submission, a model
+        or client code outside its intern table, an unknown model, an
+        override of a parameter the model does not sample) and an
+        ``OverloadedResponse`` per row admission sheds.  Admitted rows
+        queue for :meth:`step_batch`.  Verdicts — and the token-bucket
+        state left behind — are identical to submitting the rows one at
+        a time.
 
         With a tracer installed, every admitted row opens a ``request``
         span (its own trace) that stays open until the answer is
@@ -576,16 +579,17 @@ class PredictionServer:
             return ResponseBatch.empty()
         self.metrics.counter("requests_total").inc(n)
         now = np.maximum(batch.submitted, self._clock)
-        parts: list[ResponseBatch] = []
+        rows = np.arange(n)
+        parts: list = []
 
         rejected = validate_rows(batch, self._models)
         valid = batch
         if rejected:
             self.metrics.counter("errors_total").inc(len(rejected))
-            parts.append(rejection_errors(batch, rejected, self._clock))
-            keep = np.ones(n, dtype=bool)
-            keep[list(rejected)] = False
-            valid, now = batch.select(keep), now[keep]
+            bad = np.fromiter(rejected, np.int64, len(rejected))
+            parts.append((bad, rejection_errors(batch, rejected, self._clock)))
+            rows = np.delete(rows, bad)
+            valid, now = batch.select(rows), now[rows]
 
         verdict = admit_batch(self.admission, valid, self._queued, self._clock)
         if self.tracer.enabled:
@@ -601,21 +605,20 @@ class PredictionServer:
             # Each shed row's retry hint reads the queue depth at its
             # own instant in the submission order.
             depth_at = self._queued + np.cumsum(admitted) - admitted
-            parts.append(
-                _unanswered(
-                    valid.select(shed),
-                    _ST_OVERLOADED,
-                    now[shed],
-                    reason=verdict[shed],
-                    retry_after=depth_at[shed] / self.config.drain_rate(),
-                )
+            answers = _unanswered(
+                valid.select(shed),
+                _ST_OVERLOADED,
+                now[shed],
+                reason=verdict[shed],
+                retry_after=depth_at[shed] / self.config.drain_rate(),
             )
+            parts.append((rows[shed], answers))
             valid = valid.select(admitted)
         if len(valid):
             self._queue.append(valid)
             self._queued += len(valid)
             self.metrics.gauge("queue_depth").set(self._queued)
-        return ResponseBatch.concat(parts)
+        return _in_row_order(parts)
 
     def _trace_submissions(self, batch, rejected: dict, verdicts) -> None:
         """Per row, in submission order: a ``request`` span or a reject span.
@@ -671,7 +674,6 @@ class PredictionServer:
         """
         if to < self._clock:
             raise ValueError(f"cannot step the server backwards from {self._clock} to {to}")
-        cap = self.config.batch_max if self.config.mode == "batched" else 1
         while self._queued:
             t_start = max(self._busy_until, self._clock, float(self._queue[0].submitted[0]))
             if t_start > to:
@@ -681,7 +683,7 @@ class PredictionServer:
             self._shed_expired_rows(t_start)
             if not self._queued:
                 break
-            batch = self._next_batch(cap)
+            batch = self._next_batch(self.config.batch_max)
             t_start = max(t_start, float(batch.submitted.max()))
             self._busy_until = self._serve(batch, t_start)
             self.metrics.counter("batches_total").inc()
@@ -1041,8 +1043,6 @@ class PredictionServer:
         for the others — the same draw stream as drawing every row
         separately — then one plan evaluation for the whole batch.
         """
-        if self.config.mode == "reference":
-            return self._propagate_reference(spec, effective)
         plan = self._plan(spec)
         if plan is None:
             return self._propagate_reference(spec, effective)
@@ -1090,12 +1090,12 @@ class PredictionServer:
         A row's own target wins over the server default
         (``config.precision``); each is clamped to the server's limits.
         ``None`` means *no* row in the batch is adaptive — the fixed
-        path runs.  Adaptive serving needs the batched (vectorised)
-        mode and a sane draw budget; otherwise targets are ignored and
-        answers simply lack a ``precision`` block.
+        path runs.  Adaptive serving needs a sane draw budget
+        (``n_samples >= 8``); below it targets are ignored and answers
+        simply lack a ``precision`` block.
         """
         cfg = self.config
-        if cfg.mode != "batched" or cfg.n_samples < 8:
+        if cfg.n_samples < 8:
             return None
         if batch.precision is None:
             if cfg.precision is None:
@@ -1289,7 +1289,7 @@ class PredictionServer:
         return seg
 
     def _propagate_reference(self, spec: ModelSpec, effective: list) -> np.ndarray:
-        """The baseline: one per-sample reference loop per row."""
+        """The plan fallback: one per-sample reference loop per row."""
         from repro.structural.montecarlo import monte_carlo_predict
 
         if self.tracer.enabled and self.tracer.active is not None:

@@ -92,10 +92,17 @@ class TestAdaptiveServer:
             assert info.requested == info.effective == TARGET.describe()
             assert not info.degraded and info.reason == ""
 
-    def test_fixed_requests_have_no_precision_block(self):
-        server, _, _ = demo_server(duration=300.0)
-        _submit(server, 4)
-        assert all(r.precision is None for r in server.step(70.0))
+    @pytest.mark.parametrize(
+        "n_samples, precision", [(400, None), (4, TARGET)], ids=["fixed", "tiny-budget"]
+    )
+    def test_fixed_requests_have_no_precision_block(self, n_samples, precision):
+        # Below 8 draws a server ignores precision targets and serves fixed.
+        server, _, _ = demo_server(
+            duration=300.0, config=ServerConfig(n_samples=n_samples)
+        )
+        _submit(server, 4, precision=precision)
+        out = server.step(70.0)
+        assert len(out) == 4 and all(r.ok and r.precision is None for r in out)
 
     def test_mixed_batch_serves_both_kinds(self):
         server, _, _ = demo_server(duration=300.0)
@@ -121,14 +128,6 @@ class TestAdaptiveServer:
         _submit(server, 2)
         out = server.step(70.0)
         assert all(r.precision is not None and r.precision.draws > 0 for r in out)
-
-    def test_reference_mode_ignores_targets(self):
-        server, _, _ = demo_server(
-            duration=300.0, config=ServerConfig(mode="reference")
-        )
-        _submit(server, 2, precision=TARGET)
-        out = server.step(70.0)
-        assert all(r.ok and r.precision is None for r in out)
 
     def test_clamps_cap_and_tolerance_to_server_limits(self):
         server, _, _ = demo_server(

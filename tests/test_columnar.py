@@ -630,6 +630,28 @@ class TestRowValidation:
         assert [r.request_id for r in served] == [0]
         assert server.metrics.counter("errors_total").value == 2
 
+    def test_immediate_answers_come_back_in_row_order(self):
+        # A shed row ahead of an unknown-model row: the worker answers
+        # them in row order, as the cluster does.
+        server, _, _ = demo_server(
+            rng=5, config=ServerConfig(admission=AdmissionPolicy(max_queue=1))
+        )
+        t0 = server.now
+        batch = RequestBatch(
+            request_id=np.arange(3),
+            client=np.zeros(3),
+            clients=("ann",),
+            model=[0, 0, 1],
+            models=(server.models[0], "nope"),
+            submitted=np.full(3, t0),
+            deadline=np.full(3, NO_DEADLINE),
+        )
+        immediate = server.submit_batch(batch).to_responses()
+        assert [(r.request_id, r.status) for r in immediate] == [
+            (1, "overloaded"),
+            (2, "error"),
+        ]
+
 
 # ----------------------------------------------------------------------
 # Bugfix regressions

@@ -340,14 +340,6 @@ class TestServer:
         assert counters["plan_fallback_total"] == 1
         assert counters["plan_fallback_UnsupportedPolicyError"] == 1
 
-    def test_reference_mode_serves_one_by_one(self):
-        server = tiny_server(config=ServerConfig(mode="reference", n_samples=64))
-        for i in range(4):
-            server.submit(_request(i, client=f"c{i}", submitted=60.0))
-        out = server.step(61.0)
-        assert len(out) == 4
-        assert all(r.batch_size == 1 for r in out)
-
     def test_step_backwards_rejected(self):
         server = tiny_server()
         server.step(70.0)
