@@ -6,9 +6,15 @@ engine (``repro.structural.engine``) must propagate the SOR model's
 producing *identical* seeded samples.  Results (wall times, samples/sec,
 speedup) are written to ``benchmarks/out/BENCH_montecarlo.json`` so the
 perf trajectory is tracked run over run.
+
+The same file also records, without gating them, the SOR plan's own
+cost: its cold compile (ms, empty plan cache) and one ``evaluate`` at
+the draw counts the server hands it (µs at k·n = 1048 and 8192; median
+of :data:`PLAN_REPS` calls).
 """
 
 import json
+import statistics
 import time
 
 import numpy as np
@@ -18,7 +24,7 @@ from repro.cluster.machine import Machine
 from repro.cluster.network import Network, SharedEthernet
 from repro.core.stochastic import StochasticValue
 from repro.sor.decomposition import equal_strips
-from repro.structural.engine import clear_plan_cache, plan_cache_stats
+from repro.structural.engine import clear_plan_cache, compile_expr, plan_cache_stats
 from repro.structural.montecarlo import (
     monte_carlo_predict,
     monte_carlo_predict_reference,
@@ -28,6 +34,8 @@ from repro.util.tables import format_table
 
 N_SAMPLES = 2000
 MIN_SPEEDUP = 10.0
+PLAN_DRAWS = (1048, 8192)  # k·n per evaluate call, reported
+PLAN_REPS = 50
 
 
 def sor_case():
@@ -51,6 +59,23 @@ def _timed(fn):
     return time.perf_counter() - t0, out
 
 
+def plan_timings() -> dict:
+    """Cold compile and per-call evaluate time of the SOR plan (medians)."""
+    cold = []
+    for _ in range(5):
+        expr, bindings, _ = sor_case()  # a fresh tree: nothing memoised
+        clear_plan_cache()
+        cold_s, plan = _timed(lambda: compile_expr(expr, bindings))
+        cold.append(cold_s)
+    rng = np.random.default_rng(0)
+    out = {"cold_compile_ms": 1e3 * statistics.median(cold)}
+    for n in PLAN_DRAWS:
+        draws = {name: rng.uniform(0.3, 0.9, n) for name in plan.sampled}
+        reps = [_timed(lambda: plan.evaluate(draws, bindings))[0] for _ in range(PLAN_REPS)]
+        out[f"evaluate_us_{n}"] = 1e6 * statistics.median(reps)
+    return out
+
+
 def test_vectorised_speedup(out_dir):
     expr, bindings, clip = sor_case()
     kwargs = dict(n_samples=N_SAMPLES, rng=11, clip=clip)
@@ -68,6 +93,7 @@ def test_vectorised_speedup(out_dir):
     speedup_cold = t_ref / t_cold
     speedup_warm = t_ref / t_warm
     stats = plan_cache_stats()
+    plan = plan_timings()
 
     emit(
         "Monte Carlo propagation: per-sample reference vs vectorised engine",
@@ -88,7 +114,10 @@ def test_vectorised_speedup(out_dir):
                     f"{speedup_warm:.1f}x",
                 ],
             ],
-        ),
+        )
+        + f"\nSOR plan: cold compile {plan['cold_compile_ms']:.2f} ms, evaluate "
+        + ", ".join(f"{plan[f'evaluate_us_{n}']:.0f} us at k*n={n}" for n in PLAN_DRAWS)
+        + " (reported, not gated)",
     )
 
     payload = {
@@ -103,6 +132,7 @@ def test_vectorised_speedup(out_dir):
         "speedup_warm": speedup_warm,
         "plan_cache": stats,
         "max_abs_diff": float(np.max(np.abs(vec.samples - ref.samples))),
+        "sor_plan": plan,
     }
     (out_dir / "BENCH_montecarlo.json").write_text(json.dumps(payload, indent=2))
 

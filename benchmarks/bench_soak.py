@@ -13,14 +13,18 @@ refactor (``repro.serving.columnar``, ``docs/serving.md``):
   ratio no longer measures a second code path; the per-request QPS is
   reported, not gated.  The columnar leg is gated twice: on an absolute
   wall-QPS floor (an environment-wide slowdown still fails loudly) and
-  on its **plumbing share** — the fraction of its wall time spent
-  *outside* plan evaluation (``CompiledExpr.evaluate``) and parameter
-  sampling (``PredictionServer._draw``), both timed with
-  ``perf_counter`` by wrappers installed here.  A uniformly slower
-  machine slows math and plumbing alike, so the share is robust across
-  machines where a raw QPS ratio is not; a regression in admission,
-  batching or delivery raises it.  The 100k wall-QPS design target is
-  measured and reported (``meets_target_qps``).
+  on its **plumbing time per request in reference time** — the wall
+  seconds spent *outside* plan evaluation (``CompiledExpr.evaluate``)
+  and parameter sampling (``PredictionServer._draw``), both timed with
+  ``perf_counter`` by wrappers installed here, divided by the request
+  count and scaled to a reference machine speed by the fixed probe of
+  ``perfbench/speed.py`` (timed beside the leg; it runs no library
+  code).  A regression in admission, batching or delivery raises it;
+  faster math does not, and a slower or busier machine moves the probe
+  with it.  The **plumbing share** (plumbing over wall) is reported,
+  not gated: a faster plan evaluation raises it at constant plumbing
+  cost.  The 100k wall-QPS design target is measured and reported
+  (``meets_target_qps``).
 * **Soak** — :data:`SOAK_REQUESTS` requests (1M by default; CI's
   ``soak-smoke`` job scales down via ``REPRO_SOAK_REQUESTS``) flow
   through a 4-worker sharded cluster in one run.  Delivery must be
@@ -39,10 +43,12 @@ deterministic per seed; only the wall-clock throughput depends on the
 machine.
 """
 
+import importlib.util
 import json
 import os
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 from conftest import emit
 
@@ -67,15 +73,16 @@ SEED = 11
 RATE = 900.0  # offered load, requests per simulated second (server capacity ~992/s)
 MICRO_COLUMNAR_REQUESTS = 50_000
 MICRO_SCALAR_REQUESTS = 5_000  # per-request leg, reported only (rate-based)
-MICRO_PAIRS = 3  # interleaved (columnar, per-request) pairs; best share gated
-# The plumbing-share bound is the worst of ten runs of this file's
-# columnar leg, each in a fresh process, on the server as it stood just
-# before its per-request event loop was folded into the columnar one
-# (2-vCPU x86-64 host, Python 3.11, NumPy 2.x).  The ten shares:
-BASELINE_PLUMBING_SHARES = (
-    0.4053, 0.4143, 0.3992, 0.4019, 0.3905, 0.4123, 0.4000, 0.3839, 0.4011, 0.3971,
+MICRO_PAIRS = 3  # interleaved (columnar, per-request) pairs; best plumbing gated
+PROBES = 7  # speed probes timed before and after each columnar leg
+# The plumbing bound (reference microseconds per request) is the worst of
+# ten runs of this file's columnar leg, each in a fresh process, on the
+# serving stack as it stood before structural plans were lowered to
+# straight-line code (2-vCPU x86-64 host, Python 3.11, NumPy 2.x).  The ten:
+BASELINE_PLUMBING_US = (
+    3.4269, 3.8548, 3.1814, 2.6462, 3.4231, 2.9498, 3.2535, 3.1522, 3.0456, 3.2389,
 )
-MAX_PLUMBING_SHARE = max(BASELINE_PLUMBING_SHARES)
+MAX_PLUMBING_US = max(BASELINE_PLUMBING_US)
 TARGET_COLUMNAR_QPS = 100_000.0  # the design target, measured and reported
 MIN_COLUMNAR_QPS = 25_000.0  # absolute wall-clock floor, deliberately conservative
 
@@ -107,6 +114,18 @@ def _leg(report, wall):
         "qps_sim": report.qps_sim,
         "wall_s": wall,
     }
+
+
+def _load_speed():
+    """The benchmark's machine-speed probe, ``perfbench/speed.py``, by path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "speed.py"
+    spec = importlib.util.spec_from_file_location("perfbench_speed", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+speed = _load_speed()
 
 
 class _MathClock:
@@ -147,11 +166,15 @@ def _columnar_leg():
         max_requests=MICRO_COLUMNAR_REQUESTS,
         rng=SEED,
     )
+    probes = [speed.timed_probe() for _ in range(PROBES)]
     with _MathClock().installed() as math:
         t0 = time.perf_counter()
         report = driver.run()
         wall = time.perf_counter() - t0
-    return report, wall, (wall - math.seconds) / wall
+    probes += [speed.timed_probe() for _ in range(PROBES)]
+    plumbing = wall - math.seconds
+    plumbing_us = 1e6 * plumbing * speed.scale(probes) / report.submitted
+    return report, wall, plumbing / wall, plumbing_us
 
 
 def _scalar_leg():
@@ -168,21 +191,22 @@ def _scalar_leg():
     return report, time.perf_counter() - t0
 
 
-def test_columnar_microbench_plumbing_share(out_dir):
+def test_columnar_microbench_plumbing(out_dir):
     # Interleaved (columnar, per-request) pairs, gating the best
-    # columnar share — the bench_tracing idiom: the extreme over pairs
-    # is robust against per-run scheduler noise while a genuine
+    # columnar plumbing time — the bench_tracing idiom: the extreme over
+    # pairs is robust against per-run scheduler noise while a genuine
     # plumbing regression still drags every pair over the bound.
     pairs = []
     for _ in range(MICRO_PAIRS):
-        rep_c, wall_c, share = _columnar_leg()
+        rep_c, wall_c, share, plumbing_us = _columnar_leg()
         rep_s, wall_s = _scalar_leg()
-        pairs.append((rep_c, wall_c, share, rep_s, wall_s))
+        pairs.append((rep_c, wall_c, share, plumbing_us, rep_s, wall_s))
 
-    shares = [share for _, _, share, _, _ in pairs]
-    best = min(range(len(pairs)), key=lambda i: shares[i])
-    rep_c, wall_c, share, rep_s, wall_s = pairs[best]
-    best_columnar_qps = max(c.qps_wall for c, _, _, _, _ in pairs)
+    shares = [p[2] for p in pairs]
+    plumbing = [p[3] for p in pairs]
+    best = min(range(len(pairs)), key=lambda i: plumbing[i])
+    rep_c, wall_c, share, plumbing_us, rep_s, wall_s = pairs[best]
+    best_columnar_qps = max(p[0].qps_wall for p in pairs)
 
     emit(
         f"Columnar vs per-request serving at {RATE:.0f} q/s offered "
@@ -195,8 +219,9 @@ def test_columnar_microbench_plumbing_share(out_dir):
                 for name, r in (("columnar", rep_c), ("per-request", rep_s))
             ],
         )
-        + f"\ncolumnar plumbing share: {share:.3f} (gate: <= {MAX_PLUMBING_SHARE:.3f}, "
-        f"pairs: {', '.join(f'{x:.3f}' for x in shares)}), "
+        + f"\ncolumnar plumbing: {plumbing_us:.2f} reference us/request "
+        f"(gate: <= {MAX_PLUMBING_US:.2f}, pairs: {', '.join(f'{x:.2f}' for x in plumbing)}), "
+        f"plumbing share: {share:.3f} (pairs: {', '.join(f'{x:.3f}' for x in shares)}), "
         f"columnar floor: >= {MIN_COLUMNAR_QPS:,.0f} q/s, "
         f"target: {TARGET_COLUMNAR_QPS:,.0f} q/s",
     )
@@ -207,10 +232,13 @@ def test_columnar_microbench_plumbing_share(out_dir):
         "pairs": MICRO_PAIRS,
         "columnar": _leg(rep_c, wall_c),
         "per_request": _leg(rep_s, wall_s),
+        "plumbing_us_per_request": plumbing_us,
+        "plumbing_us_pairs": plumbing,
+        "max_plumbing_us": MAX_PLUMBING_US,
+        "baseline_plumbing_us": list(BASELINE_PLUMBING_US),
+        "reference_probe_s": speed.REFERENCE_S,
         "plumbing_share": share,
         "plumbing_share_pairs": shares,
-        "max_plumbing_share": MAX_PLUMBING_SHARE,
-        "baseline_plumbing_shares": list(BASELINE_PLUMBING_SHARES),
         "min_columnar_qps": MIN_COLUMNAR_QPS,
         "target_columnar_qps": TARGET_COLUMNAR_QPS,
         "meets_target_qps": best_columnar_qps >= TARGET_COLUMNAR_QPS,
@@ -221,13 +249,13 @@ def test_columnar_microbench_plumbing_share(out_dir):
     out.write_text(json.dumps(doc, indent=2))
 
     # Correctness riders: every leg answers everything, losslessly.
-    for rep_ci, _, _, rep_si, _ in pairs:
+    for rep_ci, _, _, _, rep_si, _ in pairs:
         assert rep_ci.lost == 0 and rep_ci.duplicates == 0
         assert rep_ci.errors == 0 and rep_si.errors == 0
         assert rep_ci.ok + rep_ci.shed == MICRO_COLUMNAR_REQUESTS
         assert rep_si.ok + rep_si.shed == MICRO_SCALAR_REQUESTS
 
-    assert share <= MAX_PLUMBING_SHARE
+    assert plumbing_us <= MAX_PLUMBING_US
     assert best_columnar_qps >= MIN_COLUMNAR_QPS
 
 

@@ -2,50 +2,42 @@
 
 Monte Carlo propagation (:mod:`repro.structural.montecarlo`) evaluates a
 model expression once per draw.  The per-sample reference path walks the
-AST ``n_samples`` times, building a fresh :class:`Bindings` overlay and a
-cloud of intermediate :class:`StochasticValue` objects for every draw —
-thousands of Python-level tree walks per prediction.  This module
-replaces those walks with a **compile-once, evaluate-many** plan: the
-expression is lowered *once* into a tree of NumPy closures operating on
-``(n_samples,)`` arrays (one array per sampled run-time parameter), so a
-whole sample batch flows through each AST node in a single vectorised
-pass.
+AST once per draw through :class:`StochasticValue` arithmetic.  This
+module compiles the expression once instead: one lowering pass emits a
+straight-line Python function over ``(n_samples,)`` arrays (one per
+sampled run-time parameter), built by one :func:`compile` per plan and
+held by :class:`CompiledExpr` (``plan.source`` shows it).  The pass:
 
-Semantics
----------
-A compiled plan reproduces the per-sample reference path exactly (up to
-ULP-level differences between ``math.*`` and ``numpy`` transcendentals):
-each register carries a ``(mean, spread)`` pair — scalars, or arrays over
-the sample batch — and every operation applies the Table 2 combination
-rules elementwise, including the point-value shortcut rows.  Sampled
-parameters enter as per-draw point values (zero spread); parameters left
-unsampled (compile-time stochastic values, zero-spread run-time values)
-keep their bound spread, exactly as the reference path's
-``Bindings.overlaid`` leaves them stochastic.
+* **shares subexpressions** — nodes are hash-consed after stripping
+  ``ComponentModel`` wrappers, so each distinct subtree, reciprocal and
+  zero-denominator check (one ``all()``) runs once per evaluation;
+* **computes only live spreads** — ``evaluate`` returns means, so a
+  spread is computed only where a mean needs it: the unrelated Mul/Div
+  zero-mean convention, ``BY_ENDPOINT``/``CLARK`` keys, or a spread read
+  by such a node.  Under ``EvalPolicy()`` none is.  Live spreads go
+  through the elementwise Table 2 helpers below, which hold each rule
+  once; spreads known to be the scalar 0.0 (sampled draws, point
+  constants) pick the point rows at compile time;
+* **keeps each rule's operation order** — a quotient is
+  ``(1.0 / d) * n``, a ``Sum`` a left fold from ``0.0``, a by-mean
+  ``Max``/``Min`` a first-win strict ``where`` fold — so plans match the
+  reference path bit for bit under ``EvalPolicy()`` and to ULP level
+  otherwise (``math.*`` vs ``numpy`` transcendentals).
 
-Supported :class:`~repro.structural.expr.EvalPolicy` choices: both
-relatedness regimes, both reciprocal rules, and the ``BY_MEAN``,
-``BY_ENDPOINT`` and ``CLARK`` Max strategies.  ``MONTE_CARLO`` Max nodes
-draw fresh samples *per evaluation* in an RNG-consumption order that
-cannot be reproduced array-parallel, so :func:`compile_expr` raises
-:class:`UnsupportedPolicyError` and callers fall back to the reference
-path.
-
-Plan caching
-------------
-``compile_expr`` memoises plans keyed on ``(expression, sampled
-parameter set, policy)`` — expression nodes are frozen dataclasses, so
-structurally equal expressions share one plan.  Constant subtrees
-(``Const``-only) are folded at compile time via the reference evaluator;
-parameters bound in the environment but not sampled are fetched per
-``evaluate`` call, so one cached plan serves any number of re-bound
-prediction instants (the Platform 2 loop re-binds NWS forecasts at every
-run and hits the cache after the first).
+Sampled parameters enter as per-draw point values; unsampled ones keep
+their bound spread and are read at each ``evaluate``, so one plan serves
+any re-bound prediction instant.  Parameter-free subtrees are folded
+through the reference evaluator.  ``MONTE_CARLO`` Max nodes draw per
+evaluation, which no array program reproduces: :func:`compile_expr`
+raises :class:`UnsupportedPolicyError` and callers fall back to the
+reference path.  Plans are memoised (LRU) on ``(expression, sampled set,
+policy)``.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import OrderedDict
 
 import numpy as np
@@ -54,28 +46,12 @@ from repro.core.arithmetic import Relatedness, ReciprocalRule
 from repro.core.group_ops import MaxStrategy
 from repro.obs.tracer import STAGE_STRUCTURAL
 from repro.structural.components import ComponentModel
-from repro.structural.expr import (
-    Add,
-    Const,
-    Div,
-    EvalPolicy,
-    Expr,
-    Max,
-    Min,
-    Mul,
-    Param,
-    Sub,
-    Sum,
-)
+from repro.structural.expr import Add, Const, Div, EvalPolicy, Expr, Max, Min, Mul, Param, Sub, Sum
 from repro.structural.parameters import Bindings
 
 __all__ = [
-    "CompiledExpr",
-    "compile_expr",
-    "clear_plan_cache",
-    "plan_cache_stats",
-    "UnsupportedPolicyError",
-    "UnsupportedExpressionError",
+    "CompiledExpr", "compile_expr", "clear_plan_cache", "plan_cache_stats",
+    "UnsupportedPolicyError", "UnsupportedExpressionError",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -92,36 +68,20 @@ _PLAN_CACHE_EVICTIONS = 0
 
 
 class UnsupportedPolicyError(ValueError):
-    """The evaluation policy cannot be compiled to a vectorised plan.
-
-    Raised for ``MaxStrategy.MONTE_CARLO`` on expressions containing
-    ``Max``/``Min`` nodes: its per-draw RNG consumption order cannot be
-    reproduced array-parallel.  Callers fall back to the per-sample
-    reference path.
-    """
+    """``MaxStrategy.MONTE_CARLO`` with ``Max``/``Min`` nodes: its per-draw
+    RNG order cannot be reproduced array-parallel, so callers fall back
+    to the per-sample reference path."""
 
 
 class UnsupportedExpressionError(ValueError):
     """The expression contains a node type the compiler cannot lower."""
 
 
-def _is_zero(s) -> bool:
-    """True when a spread is the statically-known scalar zero."""
+def _is_zero(s) -> bool:  # the spread is the scalar 0.0, not an array
     return isinstance(s, float) and s == 0.0
 
 
-def _check_nonzero_mean(m, what: str) -> None:
-    """Reject zero denominators exactly as the scalar rules do."""
-    if np.ndim(m) == 0:
-        if float(m) == 0.0:
-            raise ZeroDivisionError(what)
-    elif np.any(np.asarray(m) == 0.0):
-        raise ZeroDivisionError(what)
-
-
-# ---------------------------------------------------------------------------
 # Elementwise Table 2 combination rules over (mean, spread) pairs
-# ---------------------------------------------------------------------------
 
 
 def _add(x, y, related: bool):
@@ -137,15 +97,7 @@ def _add(x, y, related: bool):
 
 
 def _sub(x, y, related: bool):
-    (mx, sx), (my, sy) = x, y
-    m = mx - my
-    if _is_zero(sx):
-        return m, sy
-    if _is_zero(sy):
-        return m, sx
-    if related:
-        return m, sx + sy
-    return m, np.hypot(sx, sy)
+    return _add(x, (-y[0], y[1]), related)  # x - y is x + (-y) in IEEE 754
 
 
 def _mul(x, y, related: bool):
@@ -171,10 +123,9 @@ def _mul(x, y, related: bool):
     return m, s
 
 
-def _div(x, y, related: bool, rule: ReciprocalRule):
+def _div(x, y, inv, related: bool, rule: ReciprocalRule):
+    """``x / y`` given ``inv = 1.0 / mean(y)``, checked nonzero by the caller."""
     (mx, sx), (my, sy) = x, y
-    _check_nonzero_mean(my, "division by a zero-mean stochastic value")
-    inv = 1.0 / my
     if _is_zero(sy):
         # Point denominator: scale by the reciprocal (exact rule).
         if _is_zero(sx):
@@ -194,9 +145,13 @@ def _div(x, y, related: bool, rule: ReciprocalRule):
     return _mul(x, (inv, s_inv), related)
 
 
-# ---------------------------------------------------------------------------
-# Group Max/Min strategies
-# ---------------------------------------------------------------------------
+def _sum(values, related: bool):
+    """N-ary sum: a left fold from ``0.0`` of means and of spreads."""
+    m, s = 0.0, 0.0
+    for vm, vs in values:
+        m = m + vm
+        s = s + (vs if related else vs * vs)
+    return m, (s if related else np.sqrt(s))
 
 
 def _fold_select(values, key, better):
@@ -263,8 +218,7 @@ def _group_max(values, strategy: MaxStrategy):
         return _fold_select(values, lambda m, s: m, np.greater)
     if strategy is MaxStrategy.BY_ENDPOINT:
         return _fold_select(values, lambda m, s: m + s, np.greater)
-    # CLARK: pairwise left fold, as in the scalar reference.
-    out = values[0]
+    out = values[0]  # CLARK: a pairwise left fold, as in the scalar reference
     for v in values[1:]:
         out = _clark_pair(out, v)
     return out
@@ -282,109 +236,166 @@ def _group_min(values, strategy: MaxStrategy):
     return (-m if np.ndim(m) else -float(m)), s
 
 
-# ---------------------------------------------------------------------------
-# Compilation
-# ---------------------------------------------------------------------------
+# Lowering: expression tree -> straight-line program
+
+_ZDIV = "division by a zero-mean stochastic value"
+
+#: Names a generated program reads besides its own constants.
+_RUNTIME = dict(
+    _where=np.where, _greater=np.greater, _less=np.less, _add=_add, _sub=_sub, _mul=_mul,
+    _div=_div, _sum=_sum, _group_max=_group_max, _group_min=_group_min, _ZDIV=_ZDIV,
+)
+_OPS = {Add: ("+", "_add"), Sub: ("-", "_sub"), Mul: ("*", "_mul"), Div: ("*", "_div")}
+_GROUPS = {Sum: ("_sum", "_REL"), Max: ("_group_max", "_STRAT"), Min: ("_group_min", "_STRAT")}
+_KINDS = frozenset((Const, Param, *_OPS, *_GROUPS))
 
 
-def _contains_group(node: Expr) -> bool:
-    if isinstance(node, (Max, Min)):
-        return True
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        return _contains_group(node.left) or _contains_group(node.right)
-    if isinstance(node, Sum):
-        return any(_contains_group(i) for i in node.items)
-    if isinstance(node, ComponentModel):
-        return _contains_group(node.expression)
-    return False
-
-
-def _compile_node(node: Expr, sampled: frozenset, policy: EvalPolicy):
-    """Lower ``node`` to ``(fn(env) -> (mean, spread), is_static)``.
-
-    ``is_static`` marks subtrees referencing no parameters at all; those
-    are folded to constants by evaluating the reference path once at
-    compile time.
-    """
+def _lower(expression: Expr, sampled: tuple, bound: tuple, policy: EvalPolicy):
+    """Lower ``expression`` to ``(source, namespace)`` of one function,
+    ``_plan(x0, ..., b0, ...)``: sampled arrays in ``sampled`` order, then
+    bound values in ``bound`` order, to the result mean."""
     related = policy.relatedness is Relatedness.RELATED
-    rule = policy.reciprocal_rule
     strategy = policy.max_strategy
+    ns = dict(_RUNTIME, _REL=related, _RULE=policy.reciprocal_rule, _STRAT=strategy)
 
-    def compile_(n: Expr):
-        if isinstance(n, ComponentModel):
-            return compile_(n.expression)
-        if isinstance(n, Const):
-            m, s = n.value.mean, n.value.spread
-            return (lambda env: (m, s)), True
-        if isinstance(n, Param):
-            name = n.name
-            if name in sampled:
-                return (lambda env: env[name]), False
-            return (lambda env: env[name]), False
-        if isinstance(n, (Add, Sub, Mul, Div)):
-            (lf, ls), (rf, rs) = compile_(n.left), compile_(n.right)
-            static = ls and rs
-            if isinstance(n, Add):
-                fn = lambda env: _add(lf(env), rf(env), related)  # noqa: E731
-            elif isinstance(n, Sub):
-                fn = lambda env: _sub(lf(env), rf(env), related)  # noqa: E731
-            elif isinstance(n, Mul):
-                fn = lambda env: _mul(lf(env), rf(env), related)  # noqa: E731
+    # 1. Hash-cons: one register per structurally distinct node, operands
+    #    first.  A register is (kind, args); an operator's args are
+    #    registers.  zeros[r]: its spread is statically the scalar 0.0;
+    #    arrays[r]: its mean is an array over the draws.
+    nodes, zeros, arrays = [], [], []
+    index: dict = {}  # structural key -> register
+    seen: dict = {}  # id(node) -> register, so shared objects are walked once
+
+    def walk(n: Expr) -> int:
+        while isinstance(n, ComponentModel):
+            n = n.expression
+        kind = type(n)
+        if kind is Param:  # a leaf: its name is its key
+            x = n.name in sampled
+            key, kind, args = n.name, ("x" if x else "b"), (sampled if x else bound).index(n.name)
+            zero = array = x
+        elif id(n) in seen:
+            return seen[id(n)]
+        elif kind not in _KINDS:
+            raise UnsupportedExpressionError(
+                f"cannot compile expression node of type {kind.__name__}"
+            )
+        elif strategy is MaxStrategy.MONTE_CARLO and kind in (Max, Min):
+            raise UnsupportedPolicyError(
+                "MaxStrategy.MONTE_CARLO consumes RNG state per draw and "
+                "cannot be vectorised; use the per-sample reference path"
+            )
+        else:
+            kids = (n.left, n.right) if kind in _OPS else getattr(n, "items", ())
+            args = tuple(map(walk, kids))  # every node is checked, folded or not
+            if not n.params():  # fold through the reference rules
+                v = n.evaluate(Bindings(), policy)
+                m, s = float(v.mean), float(v.spread)
+                key, kind, args, zero, array = (m.hex(), s.hex()), "k", (m, s), s == 0.0, False
             else:
-                fn = lambda env: _div(lf(env), rf(env), related, rule)  # noqa: E731
-            return _maybe_fold(n, fn, static, policy)
-        if isinstance(n, Sum):
-            parts = [compile_(i) for i in n.items]
-            fns = [f for f, _ in parts]
-            static = all(s for _, s in parts)
+                zero = all(map(zeros.__getitem__, args))
+                zero = zero and not (kind in (Max, Min) and strategy is MaxStrategy.CLARK)
+                key, array = (kind, args), any(map(arrays.__getitem__, args))
+        seen[id(n)] = r = index.setdefault(key, len(nodes))
+        if r == len(nodes):
+            nodes.append((kind, args))
+            zeros.append(zero)
+            arrays.append(array)
+        return r
 
-            if related:
+    root = walk(expression)
 
-                def fn(env, fns=fns):
-                    m, s = 0.0, 0.0
-                    for f in fns:
-                        fm, fs = f(env)
-                        m = m + fm
-                        s = s + fs
-                    return m, s
+    # 2. Spread liveness, root first.  A register is "rich" -- computed as
+    #    a (mean, spread) pair by the Table 2 helpers -- when its spread is
+    #    not statically zero and a rich consumer reads it or its own mean
+    #    depends on its operands' spreads.  No other spread is computed.
+    live = [False] * len(nodes)
+    rich = [False] * len(nodes)
+    for r in reversed(range(len(nodes))):
+        kind, args = nodes[r]
+        if isinstance(kind, str) or zeros[r]:
+            continue
+        if kind in (Max, Min):  # BY_ENDPOINT and CLARK keys read spreads
+            needs = strategy is not MaxStrategy.BY_MEAN
+        else:  # the unrelated zero-mean convention reads them
+            needs = kind in (Mul, Div) and not related and not any(map(zeros.__getitem__, args))
+        if live[r] or needs:
+            rich[r] = True
+            for a in args:
+                live[a] = True
 
+    # 3. Emit the statements, children first.
+    mean, spread, lines = [], [], []
+    recip: dict = {}  # denominator register -> reciprocal name
+    temps: set = set()  # array-valued registers
+
+    def reciprocal(d: int) -> str:
+        if d not in recip:
+            recip[d] = f"r{d}"
+            if nodes[d][0] == "k" and nodes[d][1][0] != 0.0:
+                ns[recip[d]] = 1.0 / nodes[d][1][0]
+            else:  # one nonzero check and one reciprocal per denominator
+                test = f"{mean[d]}.all()" if arrays[d] else mean[d]
+                lines.append(f"if not {test}: raise ZeroDivisionError(_ZDIV)")
+                lines.append(f"{recip[d]} = 1.0 / {mean[d]}")
+                temps.update([recip[d]] if arrays[d] else [])
+        return recip[d]
+
+    for r, (kind, args) in enumerate(nodes):
+        zero, is_array = zeros[r], arrays[r]
+        m, s = f"m{r}", ("0.0" if zero else f"s{r}")
+        ins = [mean[a] for a in args] if not isinstance(kind, str) else []
+        if kind == "k":
+            m = f"k{r}"
+            ns[m] = args[0]
+            if not zero:
+                s = f"ks{r}"
+                ns[s] = args[1]
+        elif kind == "x":
+            m = f"x{args}"
+        elif kind == "b":
+            m, s = f"b{args}.mean", f"b{args}.spread"
+        elif rich[r]:
+            pairs = [f"({mean[a]}, {spread[a]})" for a in args]
+            if kind in _GROUPS:
+                call = f"{_GROUPS[kind][0]}(({', '.join(pairs)},), {_GROUPS[kind][1]})"
+            elif kind is Div:
+                call = f"_div({pairs[0]}, {pairs[1]}, {reciprocal(args[1])}, _REL, _RULE)"
             else:
+                call = f"{_OPS[kind][1]}({pairs[0]}, {pairs[1]}, _REL)"
+            lines.append(f"{m}, {s} = {call}")
+        elif kind is Div:  # (1.0 / d) * n, as the scalar rule scales
+            lines.append(f"{m} = {reciprocal(args[1])} * {ins[0]}")
+        elif kind in _OPS:
+            lines.append(f"{m} = {ins[0]} {_OPS[kind][0]} {ins[1]}")
+        elif kind is Sum:  # left fold from 0.0
+            lines.append(f"{m} = {' + '.join(['0.0'] + ins)}")
+        else:  # first-win strict fold, as max()/min() with a key
+            cmp = {Max: ("_greater", ">"), Min: ("_less", "<")}[kind][0 if is_array else 1]
+            lines += [f"{m} = {ins[0]}"] if len(ins) == 1 else []
+            for i, new in enumerate(ins[1:]):
+                cur = m if i else ins[0]
+                if is_array:
+                    lines.append(f"{m} = _where({cmp}({new}, {cur}), {new}, {cur})")
+                else:
+                    lines.append(f"{m} = {new} if {new} {cmp} {cur} else {cur}")
+        if is_array and not isinstance(kind, str):
+            temps.update([m, s] if rich[r] else [m])
+        mean.append(m)
+        spread.append(s)
 
-                def fn(env, fns=fns):
-                    m, ss = 0.0, 0.0
-                    for f in fns:
-                        fm, fs = f(env)
-                        m = m + fm
-                        ss = ss + fs * fs
-                    return m, np.sqrt(ss)
-
-            return _maybe_fold(n, fn, static, policy)
-        if isinstance(n, (Max, Min)):
-            if strategy is MaxStrategy.MONTE_CARLO:
-                raise UnsupportedPolicyError(
-                    "MaxStrategy.MONTE_CARLO consumes RNG state per draw and "
-                    "cannot be vectorised; use the per-sample reference path"
-                )
-            parts = [compile_(i) for i in n.items]
-            fns = [f for f, _ in parts]
-            static = all(s for _, s in parts)
-            group = _group_max if isinstance(n, Max) else _group_min
-            fn = lambda env, fns=fns: group([f(env) for f in fns], strategy)  # noqa: E731
-            return _maybe_fold(n, fn, static, policy)
-        raise UnsupportedExpressionError(
-            f"cannot compile expression node of type {type(n).__name__}"
-        )
-
-    return compile_(node)
-
-
-def _maybe_fold(node: Expr, fn, static: bool, policy: EvalPolicy):
-    """Fold a parameter-free subtree to a constant via the reference path."""
-    if not static:
-        return fn, False
-    value = node.evaluate(Bindings(), policy)
-    m, s = value.mean, value.spread
-    return (lambda env: (m, s)), True
+    # 4. Delete each array temporary after the last line naming it, so
+    #    the allocator hands its memory on while it is still in cache.
+    last = {name: i for i, line in enumerate(lines) for name in re.findall(r"\b[msr]\d+\b", line)}
+    dead: dict = {}
+    for name in temps - {mean[root]}:
+        dead.setdefault(last[name], []).append(name)
+    code = "".join(
+        f"    {line}\n" + (f"    del {', '.join(sorted(dead[i]))}\n" if i in dead else "")
+        for i, line in enumerate(lines)
+    )
+    params = [f"x{j}" for j in range(len(sampled))] + [f"b{j}" for j in range(len(bound))]
+    return f"def _plan({', '.join(params)}):\n{code}    return {mean[root]}\n", ns
 
 
 class CompiledExpr:
@@ -402,9 +413,11 @@ class CompiledExpr:
         run-time parameters), sorted.
     policy:
         The :class:`EvalPolicy` the plan was specialised for.
+    source:
+        The generated straight-line program (one ``def _plan``).
     """
 
-    __slots__ = ("expression", "sampled", "bound", "policy", "_fn")
+    __slots__ = ("expression", "sampled", "bound", "policy", "source", "_fn")
 
     def __init__(self, expression: Expr, sampled, policy: EvalPolicy):
         self.expression = expression
@@ -417,14 +430,12 @@ class CompiledExpr:
             )
         self.bound = tuple(sorted(set(referenced) - set(self.sampled)))
         self.policy = policy
-        self._fn, _ = _compile_node(expression, frozenset(self.sampled), policy)
+        self.source, namespace = _lower(expression, self.sampled, self.bound, policy)
+        exec(compile(self.source, "<structural plan>", "exec"), namespace)
+        self._fn = namespace["_plan"]
 
     def evaluate(
-        self,
-        draws: dict,
-        bindings: Bindings | None = None,
-        *,
-        n_samples: int | None = None,
+        self, draws: dict, bindings: Bindings | None = None, *, n_samples: int | None = None
     ) -> np.ndarray:
         """Evaluate the whole sample batch in one vectorised pass.
 
@@ -445,7 +456,7 @@ class CompiledExpr:
         ``(n,)`` array of per-draw result means — elementwise equal to
         the per-sample reference path's output.
         """
-        env: dict = {}
+        args = []
         n = None
         for name in self.sampled:
             arr = np.asarray(draws[name], dtype=float)
@@ -457,37 +468,25 @@ class CompiledExpr:
                 raise ValueError(
                     f"inconsistent draw lengths: {name!r} has {arr.shape[0]}, expected {n}"
                 )
-            env[name] = (arr, 0.0)
+            args.append(arr)
         if self.bound:
             if bindings is None:
                 raise ValueError(
                     f"plan references unsampled parameters {list(self.bound)}; "
                     "bindings are required"
                 )
-            for name in self.bound:
-                sv = bindings.resolve(name)
-                env[name] = (sv.mean, sv.spread)
-        mean, _spread = self._fn(env)
-        out = np.asarray(mean, dtype=float)
+            args.extend(bindings.resolve(name) for name in self.bound)
+        out = np.asarray(self._fn(*args), dtype=float)
         if out.ndim == 0:
-            if n is None:
-                n = n_samples
+            n = n_samples if n is None else n
             if n is None:
                 raise ValueError("n_samples is required for a constant plan")
             out = np.full(int(n), float(out))
         return out
 
 
-def _policy_key(policy: EvalPolicy):
-    return (policy.relatedness, policy.reciprocal_rule, policy.max_strategy)
-
-
 def compile_expr(
-    expression: Expr,
-    bindings_or_sampled=None,
-    *,
-    policy: EvalPolicy | None = None,
-    tracer=None,
+    expression: Expr, bindings_or_sampled=None, *, policy: EvalPolicy | None = None, tracer=None
 ) -> CompiledExpr:
     """Compile (or fetch from cache) a vectorised plan for ``expression``.
 
@@ -532,7 +531,8 @@ def compile_expr(
         )
     else:
         sampled = tuple(sorted(set(bindings_or_sampled)))
-    key = (expression, tuple(sorted(sampled)), _policy_key(policy))
+    rules = (policy.relatedness, policy.reciprocal_rule, policy.max_strategy)
+    key = (expression, tuple(sorted(sampled)), rules)
     plan = _PLAN_CACHE.get(key)
     if plan is not None:
         _PLAN_CACHE_HITS += 1

@@ -5,6 +5,8 @@ expression and evaluating a draw batch produces *elementwise-equal*
 results to the per-sample reference loop consuming the same RNG stream.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,11 +20,15 @@ from repro.structural.engine import (
     compile_expr,
     plan_cache_stats,
 )
+from repro.structural.components import ComponentModel
 from repro.structural.expr import (
+    Add,
     Const,
+    Div,
     EvalPolicy,
     Max,
     Min,
+    Mul,
     Param,
     Sub,
     Sum,
@@ -32,6 +38,7 @@ from repro.structural.montecarlo import (
     monte_carlo_predict_reference,
 )
 from repro.structural.parameters import Bindings
+from repro.structural.sor_model import SORModel
 
 
 def rich_bindings() -> Bindings:
@@ -109,11 +116,26 @@ class TestSeededEquivalence:
         b = Bindings()
         b.bind("c", 1.0)
         b.bind("zero", 0.0)
-        expr = Param("c") / Param("zero")
-        with pytest.raises(ZeroDivisionError):
-            monte_carlo_predict(expr, b, n_samples=10, rng=0)
-        with pytest.raises(ZeroDivisionError):
-            monte_carlo_predict_reference(expr, b, n_samples=10, rng=0)
+        b.bind("zmean", StochasticValue(0.0, 0.5))  # compile time: bound, stochastic
+        b.bind_runtime("load", StochasticValue(0.5, 0.1))
+        b.bind_runtime("d", StochasticValue(2.0, 0.3))
+        cancel = Param("load") - Param("load")  # zero in every draw
+        cases = [
+            Param("c") / Param("zero"),
+            # One zero-mean denominator shared by two Div nodes: checked
+            # once in the plan, and it must still raise.
+            Param("c") / cancel + Param("d") / cancel,
+            Param("load") / Param("zmean") + Param("d") / Param("zmean"),
+            # A zero that reaches the denominator only through a bound
+            # (scalar) parameter, under a sampled numerator.
+            Param("load") / (Param("zero") * 3.0 + Param("c") * 0.0),
+            Param("load") / Const(StochasticValue(0.0)),
+        ]
+        for expr in cases:
+            with pytest.raises(ZeroDivisionError):
+                monte_carlo_predict(expr, b, n_samples=10, rng=0)
+            with pytest.raises(ZeroDivisionError):
+                monte_carlo_predict_reference(expr, b, n_samples=10, rng=0)
 
 
 class TestDegenerateCases:
@@ -173,6 +195,13 @@ class TestCompileExpr:
                 policy=EvalPolicy(max_strategy=MaxStrategy.MONTE_CARLO),
             )
 
+    def test_draw_length_mismatch_rejected(self):
+        plan = compile_expr(Param("a") / Param("b"), ["a", "b"])
+        with pytest.raises(ValueError, match="inconsistent draw lengths"):
+            plan.evaluate({"a": np.ones(3), "b": np.ones(4)})
+        with pytest.raises(ValueError, match="must be 1-D"):
+            plan.evaluate({"a": np.ones((2, 2)), "b": np.ones(4)})
+
     def test_missing_bound_parameter_errors_like_reference(self):
         plan = compile_expr(Param("a") + Param("b"), ["a"])
         with pytest.raises(KeyError):
@@ -216,3 +245,51 @@ class TestPlanCache:
         assert plan2 is plan
         np.testing.assert_array_equal(out1, [20.0, 40.0])
         np.testing.assert_array_equal(out2, [40.0, 80.0])
+
+
+def count_operators(node) -> int:
+    """Operator nodes in the tree, ``ComponentModel`` wrappers stripped."""
+    while isinstance(node, ComponentModel):
+        node = node.expression
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        return 1 + count_operators(node.left) + count_operators(node.right)
+    if isinstance(node, (Sum, Max, Min)):
+        return 1 + sum(count_operators(i) for i in node.items)
+    return 0
+
+
+def registers(plan) -> set:
+    """Operator registers the generated program assigns."""
+    return set(re.findall(r"^ +(m\d+)\b", plan.source, re.M))
+
+
+class TestLowering:
+    SOR_SAMPLED = ["bw_avail", "load[0]", "load[1]", "load[2]", "load[3]"]
+
+    def test_sor_plan_computes_each_unique_node_once(self):
+        # The red and black halves of the SOR model repeat the same Comp
+        # and Comm terms; the plan computes each distinct node once.
+        expr = SORModel(n_procs=4, iterations=20).expression()
+        assert count_operators(expr) == 118
+        plan = compile_expr(expr, self.SOR_SAMPLED)
+        assert len(registers(plan)) <= 39
+        # One nonzero check per distinct non-constant denominator.
+        assert plan.source.count("ZeroDivisionError") == len(
+            set(re.findall(r"^ +(r\d+) = 1.0 / ", plan.source, re.M))
+        )
+
+    def test_default_policy_computes_no_spread(self):
+        b = rich_bindings()
+        for name, expr in EXPRESSIONS.items():
+            plan = compile_expr(expr, b, policy=EvalPolicy())
+            assert ".spread" not in plan.source, name
+            assert not re.search(r"= _(add|sub|mul|div|sum|group_max|group_min)\(", plan.source)
+
+    def test_live_spreads_reach_the_table2_helpers(self):
+        # fixed is bound with a spread, so the unrelated zero-mean
+        # convention needs both operands' spreads.
+        plan = compile_expr(
+            Param("fixed") * Param("work"), rich_bindings(),
+            policy=EvalPolicy(relatedness=Relatedness.UNRELATED),
+        )
+        assert "_mul(" in plan.source and "b0.spread" in plan.source

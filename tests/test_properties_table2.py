@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core.arithmetic import (
+    ReciprocalRule,
     Relatedness,
     add,
     divide,
@@ -37,7 +38,7 @@ from repro.core.arithmetic import (
 from repro.core.group_ops import MaxStrategy, stochastic_max, stochastic_min
 from repro.core.stochastic import StochasticValue
 from repro.structural.engine import compile_expr
-from repro.structural.expr import Add, Div, EvalPolicy, Max, Mul, Param, Sub, Sum, as_expr
+from repro.structural.expr import Add, Div, EvalPolicy, Max, Min, Mul, Param, Sub, Sum, as_expr
 from repro.structural.montecarlo import monte_carlo_predict
 from repro.structural.parameters import Bindings
 
@@ -346,3 +347,108 @@ class TestEngineAgreement:
         )
         stats = plan_cache_stats()
         assert stats["misses"] == 1 and stats["hits"] == 1
+
+
+# ----------------------------------------------------------------------
+# Shared subtrees and live spreads: the lowered plan vs the reference loop
+# ----------------------------------------------------------------------
+
+#: Leaves of the shared-subtree generator.  ``p*`` are sampled, ``fixed``
+#: is a compile-time stochastic value (bound with its spread, so spreads
+#: stay live under the unrelated, by-endpoint and Clark policies) and
+#: ``pt`` a zero-spread run-time value (bound, never sampled).
+SHARED_LEAVES = ["p0", "p1", "p2", "fixed", "pt"]
+#: Positive-mean denominators: a sampled availability, a bound stochastic
+#: value and a bound point.
+DENOMINATORS = ["avail", "fixed", "pt"]
+
+
+def gen_shared_tree(rng, pool: list, depth: int = 0):
+    """A random tree whose subtrees are often reused verbatim.
+
+    Every subtree built is appended to ``pool``; a later node picks an
+    earlier one a quarter of the time, so structurally equal subtrees
+    recur (the shape the plan's hash-consing shares).  Covers ``Min``
+    and ``Div`` by positive parameters as well as ``gen_tree``'s nodes.
+    """
+    if pool and rng.random() < 0.25:
+        return pool[int(rng.integers(len(pool)))]
+    if depth >= 3 or rng.random() < 0.25:
+        if rng.random() < 0.8:
+            return Param(SHARED_LEAVES[int(rng.integers(len(SHARED_LEAVES)))])
+        return as_expr(float(rng.uniform(0.5, 10.0)))
+    kind = int(rng.integers(7))
+    left = gen_shared_tree(rng, pool, depth + 1)
+    if kind == 5:
+        node = Div(left, Param(DENOMINATORS[int(rng.integers(len(DENOMINATORS)))]))
+    else:
+        right = gen_shared_tree(rng, pool, depth + 1)
+        if kind < 3:
+            node = (Add, Sub, Mul)[kind](left, right)
+        elif kind == 3:
+            node = Max(left, right, gen_shared_tree(rng, pool, depth + 1))
+        elif kind == 4:
+            node = Min(left, right, gen_shared_tree(rng, pool, depth + 1))
+        else:
+            node = Sum(left, right, left)
+    pool.append(node)
+    return node
+
+
+def gen_shared_bindings(rng) -> Bindings:
+    b = gen_bindings(rng, ["p0", "p1", "p2"])
+    b.bind_runtime("avail", gen_positive_value(rng))
+    b.bind("fixed", StochasticValue(float(rng.uniform(1.0, 5.0)), float(rng.uniform(0.1, 1.0))))
+    b.bind_runtime("pt", float(rng.uniform(0.5, 5.0)))
+    return b
+
+
+def shared_case(seed: int):
+    rng = np.random.default_rng(1000 + seed)
+    pool: list = []
+    expr = Add(gen_shared_tree(rng, pool), gen_shared_tree(rng, pool))
+    return expr, gen_shared_bindings(rng)
+
+
+SHARED_CLIP = {"avail": (0.05, float("inf"))}
+
+
+def run_both(expr, bindings, seed, policy):
+    kwargs = dict(n_samples=128, rng=seed, clip=SHARED_CLIP, policy=policy)
+    vec = monte_carlo_predict(expr, bindings, engine="vectorised", **kwargs)
+    ref = monte_carlo_predict(expr, bindings, engine="reference", **kwargs)
+    return vec.samples, ref.samples
+
+
+class TestSharedSubtreeAgreement:
+    def test_default_policy_is_byte_identical(self):
+        # EvalPolicy() is every serving model's policy: means only, so the
+        # plan must reproduce the reference loop to the last bit.
+        for seed in range(40):
+            expr, bindings = shared_case(seed)
+            vec, ref = run_both(expr, bindings, seed, EvalPolicy())
+            assert vec.tobytes() == ref.tobytes(), f"seed {seed}: {expr!r}"
+
+    @pytest.mark.parametrize(
+        "policy",
+        (
+            EvalPolicy(relatedness=Relatedness.UNRELATED),
+            EvalPolicy(max_strategy=MaxStrategy.BY_ENDPOINT),
+            EvalPolicy(relatedness=Relatedness.UNRELATED, max_strategy=MaxStrategy.BY_ENDPOINT),
+            EvalPolicy(max_strategy=MaxStrategy.CLARK),
+            EvalPolicy(
+                relatedness=Relatedness.UNRELATED,
+                reciprocal_rule=ReciprocalRule.PAPER_LITERAL,
+                max_strategy=MaxStrategy.CLARK,
+            ),
+        ),
+        ids=("unrelated", "by-endpoint", "unrelated-by-endpoint", "clark", "unrelated-literal-clark"),
+    )
+    def test_live_spread_policies_agree(self, policy):
+        for seed in range(40):
+            expr, bindings = shared_case(seed)
+            vec, ref = run_both(expr, bindings, seed, policy)
+            np.testing.assert_allclose(
+                vec, ref, rtol=1e-12, atol=1e-12,
+                err_msg=f"seed {seed}: engines disagree on {expr!r}",
+            )
