@@ -71,7 +71,7 @@ from repro.faults.plan import FaultPlan
 from repro.nws.service import QUALITIES, NetworkWeatherService
 from repro.obs.tracer import STAGE_CLUSTER, STAGE_ELASTIC, as_tracer
 from repro.serving.admission import TokenBucket
-from repro.serving.columnar import REASONS, RequestBatch, ResponseBatch
+from repro.serving.columnar import REASONS, RequestBatch, ResponseBatch, Tables
 from repro.serving.elastic import Autoscaler, ElasticConfig
 from repro.serving.forecasts import SharedRefreshLedger
 from repro.serving.metrics import Histogram, MetricsRegistry, _sanitise
@@ -113,18 +113,9 @@ def _degraded(quality: str, floor: str = "stale") -> str:
     return QUALITIES[max(QUALITIES.index(quality), QUALITIES.index(floor))]
 
 
-def _keys(rows) -> list[tuple[str, int]]:
-    """``(client_id, request_id)`` of every row: the key a request is known by."""
-    clients = map(rows.clients.__getitem__, rows.client.tolist())
-    return list(zip(clients, rows.request_id.tolist()))
-
-
-def _answered_rows(batch: RequestBatch, rb: ResponseBatch) -> np.ndarray:
-    """The row of ``batch`` each response in ``rb`` answers, matched by key."""
-    rows: dict[tuple[str, int], list[int]] = {}
-    for i, key in enumerate(_keys(batch)):
-        rows.setdefault(key, []).append(i)
-    return np.array([rows[key].pop(0) for key in _keys(rb)], dtype=np.int64)
+def _keys(rows) -> list[tuple[int, int]]:
+    """``(client code, request_id)`` of every row: the key a request is known by."""
+    return list(zip(rows.client.tolist(), rows.request_id.tolist()))
 
 
 @dataclass(frozen=True)
@@ -214,6 +205,9 @@ class ServingCluster:
         self.config = config if config is not None else ClusterConfig()
         self.faults = faults if faults is not None else FaultPlan.none()
         self.ledger = SharedRefreshLedger()
+        # One set of string tables for the whole deployment, shared with
+        # every worker like the forecast ledger.
+        self.tables = Tables()
         self.metrics = MetricsRegistry()
         self.tracer = as_tracer(tracer)
 
@@ -223,15 +217,9 @@ class ServingCluster:
         # child stream, so the first n_workers draws above — and with
         # them every seeded golden — are untouched by elasticity.
         self._gen = gen
-        self.workers: dict[str, PredictionServer] = {}
-        for i in range(self.config.n_workers):
-            self.workers[f"worker-{i}"] = PredictionServer(
-                nws,
-                config=self.config.worker,
-                rng=children[i],
-                forecast_ledger=self.ledger,
-                tracer=self.tracer,
-            )
+        self.workers = {
+            f"worker-{i}": self._new_worker(children[i]) for i in range(self.config.n_workers)
+        }
         self.router = ClusterRouter(
             self.workers, replication=self.config.replication, vnodes=self.config.vnodes
         )
@@ -249,7 +237,7 @@ class ServingCluster:
         # Keys of rows routed to a standby (or re-routed off a drained
         # worker) that are still in flight: their answers are delivered
         # with failover=True and a degraded quality tag.
-        self._failover: set[tuple[str, int]] = set()
+        self._failover: set[tuple[int, int]] = set()
 
         # Elastic state.  All empty/inert when elasticity is off.
         self.elastic = elastic
@@ -277,6 +265,19 @@ class ServingCluster:
         self.metrics.histogram("latency_s")
         self.metrics.histogram("worker_queue_depth", _DEPTH_BUCKETS)
         self.metrics.gauge("workers_up").set(sum(self._up.values()))
+
+    def _new_worker(self, rng, clock: float | None = None) -> PredictionServer:
+        """A worker on the cluster's forecast ledger, tracer and string tables."""
+        server = PredictionServer(
+            self.nws,
+            config=self.config.worker,
+            rng=rng,
+            forecast_ledger=self.ledger,
+            tracer=self.tracer,
+            clock=clock,
+        )
+        server.tables = self.tables
+        return server
 
     # ------------------------------------------------------------------
     # Registration
@@ -342,7 +343,7 @@ class ServingCluster:
     # ------------------------------------------------------------------
     def submit(self, request: PredictRequest) -> Response | None:
         """A one-row :meth:`submit_batch`: ``None`` means admitted."""
-        immediate = self.submit_batch(RequestBatch.from_requests([request]))
+        immediate = self.submit_batch(self.tables.batch([request]))
         return immediate.response(0) if len(immediate) else None
 
     def step(self, to: float) -> list[Response]:
@@ -355,12 +356,13 @@ class ServingCluster:
     def submit_batch(self, batch: RequestBatch) -> ResponseBatch:
         """Validate, meter and route a whole :class:`RequestBatch`.
 
-        Every row is checked against the same input contract a worker
-        enforces (:func:`~repro.serving.server.validate_rows`): a
-        malformed row gets its own ``ErrorResponse`` and never reaches a
-        worker.  Valid rows pass the cluster token bucket, then route
-        with one decision per *distinct* model, and each target worker
-        admits its rows as one sub-batch.  Returns the immediate
+        Every row is checked once, here, against the input contract
+        (:func:`~repro.serving.server.validate_rows`), which also
+        re-codes the batch onto the cluster's string tables: a malformed
+        row gets its own ``ErrorResponse`` and never reaches a worker.
+        Valid rows pass the cluster token bucket, then route with one
+        decision per *distinct* model, and each target worker admits its
+        rows without validating them again.  Returns the immediate
         responses (errors, cluster and worker sheds) in row order;
         admitted rows are answered by :meth:`step_batch`.
         """
@@ -368,14 +370,13 @@ class ServingCluster:
         if n == 0:
             return ResponseBatch.empty()
         self.metrics.counter("requests_total").inc(n)
+        batch, rejected = validate_rows(batch, self._models, self.tables)
         at = np.maximum(batch.submitted, self._clock)
         shed = np.zeros(n, dtype=np.int8)
         parts: list = []
-        rejected = validate_rows(batch, self._models)
         if rejected:
-            rows = np.fromiter(rejected, np.int64, len(rejected))
-            shed[rows] = -1  # answered: neither routed nor shed
-            parts.append((rows, rejection_errors(batch, rejected, self._clock)))
+            parts.append(rejection_errors(batch, rejected, self._clock, self.tables.workers))
+            shed[parts[0][0]] = -1  # answered: neither routed nor shed
         valid = batch.model[shed == 0] if rejected else batch.model
         for code, count in Counter(valid.tolist()).items():
             shard = self._shards[batch.models[code]]
@@ -395,9 +396,9 @@ class ServingCluster:
         ``shed`` holds a :data:`~repro.serving.columnar.REASONS` code per
         row (negative: already answered); rows whose shard has no owner
         in ``healthy`` are shed ``unavailable`` in place.  Routing is one
-        decision per distinct model, and each target worker gets its
-        rows as one sub-batch.  Rows routed to a standby — and every
-        requeued row — keep a failover mark until delivered.  Each
+        decision per distinct model, and each target worker admits its
+        validated rows by row index.  Rows routed to a standby — and
+        every requeued row — keep a failover mark until delivered.  Each
         shed row's ``retry_after`` reads the cluster queue depth at its
         own position in row order.  Appends ``(rows, responses)`` parts
         to ``parts``; returns the mask of routed rows.
@@ -436,13 +437,10 @@ class ServingCluster:
                 ).finish(t)
 
         admitted = routed.copy()
-        whole = len(names) == 1 and routed.all()
         for k, name in enumerate(names):
-            rows = np.flatnonzero(target == k)
-            group = batch if whole else batch.select(rows)
-            immediate = self.workers[name].submit_batch(group)
-            if len(immediate):
-                rows = rows[_answered_rows(group, immediate)]
+            part = self.workers[name]._admit(batch, np.flatnonzero(target == k), {})
+            if part is not None:
+                rows, immediate = part
                 admitted[rows] = False
                 parts.append((rows, immediate.with_worker(name)))
         marked = failover & admitted
@@ -456,6 +454,7 @@ class ServingCluster:
             retry = ahead / capacity if capacity > 0.0 else float("inf")
             answers = _unanswered(
                 batch.select(sheds),
+                self.tables.workers,
                 _ST_OVERLOADED,
                 at[sheds],
                 reason=shed[sheds],
@@ -618,14 +617,7 @@ class ServingCluster:
         name = f"worker-{self._next_worker_idx}"
         self._next_worker_idx += 1
         ready = t + self.elastic.provision_time
-        server = PredictionServer(
-            self.nws,
-            config=self.config.worker,
-            rng=self._gen.spawn(1)[0],
-            forecast_ledger=self.ledger,
-            tracer=self.tracer,
-            clock=ready,
-        )
+        server = self._new_worker(self._gen.spawn(1)[0], ready)
         for model, spec in self._models.items():
             server.register_model(spec, truth=self._truths[model])
         self._provisioning.append((name, server, ready))
@@ -784,7 +776,9 @@ class ServingCluster:
             self._failover.difference_update(k for k, m in zip(keys, marked) if m)
             answered = np.flatnonzero(marked & rb.ok_mask).tolist()
             if answered:
-                # rb is a private copy: retag its rows in place.
+                # rb shares its value columns with the worker's answer:
+                # retag a copy of the quality column.
+                rb.quality = rb.quality.copy()
                 messages = list(rb.messages or (None,) * len(rb))
                 for i in answered:
                     resp = rb.response(i)

@@ -8,16 +8,24 @@ This module is the array-native core that removes it:
 
 * :class:`RequestBatch` — parallel NumPy arrays (submitted, deadline,
   model code, client code, precision) describing many
-  requests at once, with small interning tables for the string-valued
-  columns.  The typed protocol survives as a **lazy view**: indexing a
-  batch materialises the exact :class:`~repro.serving.protocol.PredictRequest`
-  a scalar caller would have built, byte-identical, so goldens, traces
-  and tags never see the representation change.
+  requests at once, with the string-valued columns coded against
+  :class:`Table`\\ s.  The typed protocol survives as a **lazy view**:
+  indexing a batch materialises the exact
+  :class:`~repro.serving.protocol.PredictRequest` a scalar caller would
+  have built, byte-identical, so goldens, traces and tags never see the
+  representation change.
 * :class:`ResponseBatch` — the answer-side mirror: status / reason /
   quality codes plus value columns, again with lazy
   :class:`~repro.serving.protocol.PredictResponse` /
   :class:`~repro.serving.protocol.OverloadedResponse` /
   :class:`~repro.serving.protocol.ErrorResponse` views.
+* :class:`Tables` — how one deployment codes names.  A standalone
+  server, or a cluster and all its workers, owns one append-only
+  ``clients`` / ``models`` / ``workers`` table each.  A batch that
+  arrives on its own tables is re-coded once, at the deployment's front
+  door (:meth:`Tables.adopt`); from then on every batch inside the
+  deployment shares the table objects, so ``concat`` is a plain array
+  concatenation and concatenating batches on different tables raises.
 * :func:`admit_batch` — vectorised admission control: token-bucket
   refill and spend, queue bounds, all as array ops, with decisions
   *request-for-request identical* to feeding the same stream through
@@ -40,6 +48,7 @@ would begin *strictly after* its deadline — ``deadline < t``, never
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import replace
 
 import numpy as np
@@ -67,6 +76,8 @@ __all__ = [
     "ADMIT",
     "RequestBatch",
     "ResponseBatch",
+    "Table",
+    "Tables",
     "admit_batch",
     "REASONS",
     "STATUSES",
@@ -91,18 +102,168 @@ _STATUS_OVERLOADED = STATUSES.index(STATUS_OVERLOADED)
 _STATUS_ERROR = STATUSES.index(STATUS_ERROR)
 
 
-def _intern(values) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Encode a sequence of strings as ``(codes, table)``."""
-    table: list[str] = []
-    index: dict[str, int] = {}
-    codes = np.empty(len(values), dtype=np.int32)
-    for i, v in enumerate(values):
-        code = index.get(v)
+class Table:
+    """An append-only string table: ``table[code]`` is a name.
+
+    Codes never change once handed out, so batches coded against the
+    same table *object* concatenate as plain arrays.  A table built from
+    a caller's sequence keeps its entries as given; :meth:`code` appends
+    names it has not seen.
+    """
+
+    __slots__ = ("_names", "_codes")
+
+    def __init__(self, names=()):
+        self._names = list(names)
+        self._codes = dict(zip(self._names, range(len(self._names))))
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def __getitem__(self, code) -> str:
+        return self._names[code]
+
+    def __iter__(self):
+        return iter(self._names)
+
+    def code(self, name: str) -> int:
+        """The code of ``name``, appended to the table if it is new."""
+        code = self._codes.get(name)
         if code is None:
-            code = index[v] = len(table)
-            table.append(v)
-        codes[i] = code
-    return codes, tuple(table)
+            code = self._codes[name] = len(self._names)
+            self._names.append(name)
+        return code
+
+    def codes(self, names) -> np.ndarray:
+        """:meth:`code` of every entry of ``names``, as ``int32``."""
+        return np.fromiter(map(self.code, names), np.int32, len(names))
+
+    def recode(self, codes: np.ndarray, names) -> tuple[np.ndarray, np.ndarray]:
+        """``codes`` into the table ``names``, re-coded into this table.
+
+        One pass over ``names``.  Returns the new codes and the mask of
+        codes outside ``names``; those rows get the code of ``""``.
+        """
+        # Negative codes wrap to huge unsigned ones: one bound check.
+        bad = codes.view(np.uint32) >= len(names)
+        flagged = bool(bad.any())
+        if names is not self:
+            lut = self.codes([*names, ""] if flagged else names)
+            codes = lut[np.where(bad, len(names), codes) if flagged else codes]
+        elif flagged:
+            codes = np.where(bad, self.code(""), codes)
+        return codes, bad
+
+
+def _fill(batch, args: dict) -> None:
+    """Set ``batch``'s slots from its constructor ``args``, checking lengths."""
+    n = len(args["request_id"])
+    for name, dtype in batch.COLUMNS.items():
+        column = np.asarray(args[name], dtype=dtype)
+        if column.shape != (n,):
+            raise ValueError(f"column {name!r} has shape {column.shape}, expected ({n},)")
+        setattr(batch, name, column)
+    for name in batch.TABLES:
+        names = args[name]
+        setattr(batch, name, names if isinstance(names, Table) else Table(names))
+    for name in batch.SIDECARS:
+        side = args[name]
+        if side is not None and len(side) != n:
+            raise ValueError(f"sidecar {name!r} has {len(side)} entries, expected {n}")
+        setattr(batch, name, side)
+
+
+def _select(batch, index):
+    """Row subset of ``batch`` by boolean mask or index array (tables shared)."""
+    index = np.asarray(index)
+    if index.dtype == bool:
+        index = np.flatnonzero(index)
+    # Built slot by slot: the columns are already typed and aligned.
+    out = object.__new__(type(batch))
+    for name in batch.COLUMNS:
+        setattr(out, name, getattr(batch, name)[index])
+    for name in batch.TABLES:
+        setattr(out, name, getattr(batch, name))
+    for name in batch.SIDECARS:
+        side = getattr(batch, name)
+        setattr(out, name, None if side is None else tuple(side[i] for i in index))
+    return out
+
+
+def _concat(cls, batches: list):
+    """Non-empty batches of ``cls`` as one; they must share every table."""
+    if len(batches) == 1:
+        return batches[0]
+    out = object.__new__(cls)
+    for name in cls.TABLES:
+        table = getattr(batches[0], name)
+        if any(getattr(b, name) is not table for b in batches):
+            raise ValueError(f"cannot concatenate batches on different {name} tables")
+        setattr(out, name, table)
+    for name in cls.COLUMNS:
+        setattr(out, name, np.concatenate([getattr(b, name) for b in batches]))
+    for name, empty in cls.SIDECARS.items():
+        sides = [getattr(b, name) for b in batches]
+        if all(side is None for side in sides):
+            setattr(out, name, None)
+        else:
+            rows = (x for b, s in zip(batches, sides) for x in (s or (empty,) * len(b)))
+            setattr(out, name, tuple(rows))
+    return out
+
+
+class Tables:
+    """The string tables of one deployment: ``clients``, ``models``, ``workers``.
+
+    A standalone server owns one; a cluster owns one and shares it with
+    every worker.  Every batch inside the deployment is coded against
+    these table objects; :meth:`adopt` brings an outside batch in.
+    """
+
+    __slots__ = ("clients", "models", "workers")
+
+    def __init__(self):
+        self.clients = Table()
+        self.models = Table()
+        # Code 0: no worker attribution (a standalone server's answers).
+        self.workers = Table(("",))
+
+    def adopt(self, batch: "RequestBatch") -> tuple["RequestBatch", np.ndarray, np.ndarray]:
+        """``batch`` coded against these tables, one pass per table.
+
+        Returns the re-coded batch and the row masks of client and model
+        codes outside ``batch``'s own tables (re-coded as ``""``).  A
+        batch already on these tables with every code in range comes
+        back unchanged.
+        """
+        client, bad_client = self.clients.recode(batch.client, batch.clients)
+        model, bad_model = self.models.recode(batch.model, batch.models)
+        if client is not batch.client or model is not batch.model:
+            batch = copy(batch)
+            batch.client, batch.clients, batch.model, batch.models = (
+                client, self.clients, model, self.models
+            )
+        return batch, bad_client, bad_model
+
+    def batch(self, requests) -> "RequestBatch":
+        """:class:`PredictRequest` objects as a batch coded against these tables."""
+        requests = list(requests)
+        n = len(requests)
+        overrides = tuple(r.overrides for r in requests)
+        precision = tuple(r.precision for r in requests)
+        return RequestBatch(
+            request_id=np.fromiter((r.request_id for r in requests), np.int64, n),
+            client=self.clients.codes([r.client_id for r in requests]),
+            clients=self.clients,
+            model=self.models.codes([r.model for r in requests]),
+            models=self.models,
+            submitted=np.fromiter((r.submitted for r in requests), float, n),
+            deadline=np.fromiter(
+                (NO_DEADLINE if r.deadline is None else r.deadline for r in requests), float, n
+            ),
+            overrides=None if not any(overrides) else overrides,
+            precision=None if all(p is None for p in precision) else precision,
+        )
 
 
 class RequestBatch:
@@ -114,25 +275,27 @@ class RequestBatch:
         Parallel arrays; ``deadline`` uses :data:`NO_DEADLINE` (``inf``)
         for requests that wait forever.
     client, clients / model, models:
-        Interned string columns: ``client``/``model`` are integer codes
-        into the ``clients``/``models`` tables.
+        Coded string columns: ``client``/``model`` are integer codes
+        into the ``clients``/``models`` tables (a :class:`Table`, or any
+        sequence of names, which becomes this batch's own table).
     overrides, precision:
         Optional tuple sidecars (one entry per request) for the ragged
         payloads the protocol allows.  ``None`` (the hot-path case)
         means "all empty"/"all None".
     """
 
-    __slots__ = (
-        "request_id",
-        "client",
-        "clients",
-        "model",
-        "models",
-        "submitted",
-        "deadline",
-        "overrides",
-        "precision",
-    )
+    #: The schema: NumPy columns with their dtypes, string tables, and
+    #: ragged sidecars with the entry that stands for "empty".
+    COLUMNS = {
+        "request_id": np.int64,
+        "client": np.int32,
+        "model": np.int32,
+        "submitted": float,
+        "deadline": float,
+    }
+    TABLES = ("clients", "models")
+    SIDECARS = {"overrides": {}, "precision": None}
+    __slots__ = (*COLUMNS, *TABLES, *SIDECARS)
 
     def __init__(
         self,
@@ -146,26 +309,7 @@ class RequestBatch:
         overrides: tuple | None = None,
         precision: tuple | None = None,
     ):
-        self.request_id = np.asarray(request_id, dtype=np.int64)
-        self.client = np.asarray(client, dtype=np.int32)
-        self.clients = tuple(clients)
-        self.model = np.asarray(model, dtype=np.int32)
-        self.models = tuple(models)
-        self.submitted = np.asarray(submitted, dtype=float)
-        self.deadline = np.asarray(deadline, dtype=float)
-        n = self.request_id.shape[0]
-        self.overrides = overrides
-        self.precision = precision
-        for name in ("client", "model", "submitted", "deadline"):
-            arr = getattr(self, name)
-            if arr.shape != (n,):
-                raise ValueError(
-                    f"column {name!r} has shape {arr.shape}, expected ({n},)"
-                )
-        for name in ("overrides", "precision"):
-            side = getattr(self, name)
-            if side is not None and len(side) != n:
-                raise ValueError(f"sidecar {name!r} has {len(side)} entries, expected {n}")
+        _fill(self, locals())
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -173,30 +317,8 @@ class RequestBatch:
 
     @classmethod
     def from_requests(cls, requests) -> "RequestBatch":
-        """Columnise a sequence of :class:`PredictRequest` objects."""
-        requests = list(requests)
-        n = len(requests)
-        client, clients = _intern([r.client_id for r in requests])
-        model, models = _intern([r.model for r in requests])
-        overrides = tuple(r.overrides for r in requests)
-        precision = tuple(r.precision for r in requests)
-        return cls(
-            request_id=np.fromiter(
-                (r.request_id for r in requests), dtype=np.int64, count=n
-            ),
-            client=client,
-            clients=clients,
-            model=model,
-            models=models,
-            submitted=np.fromiter((r.submitted for r in requests), dtype=float, count=n),
-            deadline=np.fromiter(
-                (NO_DEADLINE if r.deadline is None else r.deadline for r in requests),
-                dtype=float,
-                count=n,
-            ),
-            overrides=None if not any(overrides) else overrides,
-            precision=None if all(p is None for p in precision) else precision,
-        )
+        """Columnise :class:`PredictRequest` objects, on tables of their own."""
+        return Tables().batch(requests)
 
     def request(self, i: int) -> PredictRequest:
         """Materialise row ``i`` as the exact scalar-protocol dataclass."""
@@ -220,75 +342,15 @@ class RequestBatch:
 
     def select(self, index) -> "RequestBatch":
         """Row subset by boolean mask or index array (tables shared)."""
-        index = np.asarray(index)
-        if index.dtype == bool:
-            index = np.flatnonzero(index)
-        return RequestBatch(
-            request_id=self.request_id[index],
-            client=self.client[index],
-            clients=self.clients,
-            model=self.model[index],
-            models=self.models,
-            submitted=self.submitted[index],
-            deadline=self.deadline[index],
-            overrides=None
-            if self.overrides is None
-            else tuple(self.overrides[i] for i in index),
-            precision=None
-            if self.precision is None
-            else tuple(self.precision[i] for i in index),
-        )
+        return _select(self, index)
 
     @classmethod
     def concat(cls, batches) -> "RequestBatch":
-        """Concatenate batches (string tables re-interned as needed)."""
+        """Concatenate batches coded against the same tables."""
         batches = [b for b in batches if len(b)]
         if not batches:
             raise ValueError("cannot concatenate zero non-empty batches")
-        if len(batches) == 1:
-            return batches[0]
-        clients, client_cols = _merge_tables(
-            [(b.client, b.clients) for b in batches]
-        )
-        models, model_cols = _merge_tables([(b.model, b.models) for b in batches])
-        any_over = any(b.overrides is not None for b in batches)
-        any_prec = any(b.precision is not None for b in batches)
-        return cls(
-            request_id=np.concatenate([b.request_id for b in batches]),
-            client=np.concatenate(client_cols),
-            clients=clients,
-            model=np.concatenate(model_cols),
-            models=models,
-            submitted=np.concatenate([b.submitted for b in batches]),
-            deadline=np.concatenate([b.deadline for b in batches]),
-            overrides=None
-            if not any_over
-            else tuple(
-                o for b in batches for o in (b.overrides or ({},) * len(b))
-            ),
-            precision=None
-            if not any_prec
-            else tuple(
-                p for b in batches for p in (b.precision or (None,) * len(b))
-            ),
-        )
-
-
-def _merge_tables(columns) -> tuple[tuple[str, ...], list[np.ndarray]]:
-    """Re-intern several ``(codes, table)`` columns into one table."""
-    table: list[str] = []
-    index: dict[str, int] = {}
-    out_cols: list[np.ndarray] = []
-    for codes, tab in columns:
-        remap = np.empty(max(len(tab), 1), dtype=np.int32)
-        for j, name in enumerate(tab):
-            code = index.get(name)
-            if code is None:
-                code = index[name] = len(table)
-                table.append(name)
-            remap[j] = code
-        out_cols.append(remap[codes])
-    return tuple(table), out_cols
+        return _concat(cls, batches)
 
 
 class ResponseBatch:
@@ -301,27 +363,26 @@ class ResponseBatch:
     :data:`STATUSES`; ``reason`` indexes :data:`REASONS`.
     """
 
-    __slots__ = (
-        "request_id",
-        "client",
-        "clients",
-        "model",
-        "models",
-        "status",
-        "reason",
-        "completed",
-        "mean",
-        "spread",
-        "p95",
-        "quality",
-        "staleness",
-        "latency",
-        "batch_size",
-        "retry_after",
-        "worker",
-        "workers",
-        "messages",
-    )
+    COLUMNS = {
+        "request_id": np.int64,
+        "client": np.int32,
+        "model": np.int32,
+        "status": np.int8,
+        "reason": np.int8,
+        "completed": float,
+        "mean": float,
+        "spread": float,
+        "p95": float,
+        "quality": np.int8,
+        "staleness": float,
+        "latency": float,
+        "batch_size": np.int32,
+        "retry_after": float,
+        "worker": np.int16,
+    }
+    TABLES = ("clients", "models", "workers")
+    SIDECARS = {"messages": None}
+    __slots__ = (*COLUMNS, *TABLES, *SIDECARS)
 
     def __init__(
         self,
@@ -345,30 +406,9 @@ class ResponseBatch:
         workers=("",),
         messages=None,
     ):
-        self.request_id = np.asarray(request_id, dtype=np.int64)
-        n = self.request_id.shape[0]
-        self.client = np.asarray(client, dtype=np.int32)
-        self.clients = tuple(clients)
-        self.model = np.asarray(model, dtype=np.int32)
-        self.models = tuple(models)
-        self.status = np.asarray(status, dtype=np.int8)
-        self.reason = np.asarray(reason, dtype=np.int8)
-        self.completed = np.asarray(completed, dtype=float)
-        self.mean = np.asarray(mean, dtype=float)
-        self.spread = np.asarray(spread, dtype=float)
-        self.p95 = np.asarray(p95, dtype=float)
-        self.quality = np.asarray(quality, dtype=np.int8)
-        self.staleness = np.asarray(staleness, dtype=float)
-        self.latency = np.asarray(latency, dtype=float)
-        self.batch_size = np.asarray(batch_size, dtype=np.int32)
-        self.retry_after = np.asarray(retry_after, dtype=float)
-        self.worker = (
-            np.zeros(n, dtype=np.int16) if worker is None else np.asarray(worker, dtype=np.int16)
-        )
-        self.workers = tuple(workers)
-        self.messages = messages
-        if messages is not None and len(messages) != n:
-            raise ValueError(f"messages sidecar has {len(messages)} entries, expected {n}")
+        if worker is None:
+            worker = np.zeros(len(request_id), np.int16)
+        _fill(self, locals())
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -376,18 +416,21 @@ class ResponseBatch:
 
     @classmethod
     def empty(cls) -> "ResponseBatch":
-        z = np.empty(0)
-        zi = np.empty(0, dtype=np.int64)
-        return cls(zi, z, (), z, (), z, z, z, z, z, z, z, z, z, z, z)
+        out = object.__new__(cls)
+        for name, dtype in cls.COLUMNS.items():
+            setattr(out, name, np.empty(0, dtype))
+        out.clients, out.models, out.workers, out.messages = Table(), Table(), Table(), None
+        return out
 
     @classmethod
     def from_responses(cls, responses) -> "ResponseBatch":
         """Columnise typed response objects (per-request routing paths)."""
         responses = list(responses)
         n = len(responses)
-        client, clients = _intern([r.client_id for r in responses])
-        worker, workers = _intern([r.worker for r in responses])
-        model, models = _intern(
+        clients, models, workers = Table(), Table(), Table()
+        client = clients.codes([r.client_id for r in responses])
+        worker = workers.codes([r.worker for r in responses])
+        model = models.codes(
             [r.model if isinstance(r, PredictResponse) else "" for r in responses]
         )
         status = np.fromiter(
@@ -515,86 +558,30 @@ class ResponseBatch:
 
     def select(self, index) -> "ResponseBatch":
         """Row subset by boolean mask or index array (tables shared)."""
-        index = np.asarray(index)
-        if index.dtype == bool:
-            index = np.flatnonzero(index)
-        return ResponseBatch(
-            request_id=self.request_id[index],
-            client=self.client[index],
-            clients=self.clients,
-            model=self.model[index],
-            models=self.models,
-            status=self.status[index],
-            reason=self.reason[index],
-            completed=self.completed[index],
-            mean=self.mean[index],
-            spread=self.spread[index],
-            p95=self.p95[index],
-            quality=self.quality[index],
-            staleness=self.staleness[index],
-            latency=self.latency[index],
-            batch_size=self.batch_size[index],
-            retry_after=self.retry_after[index],
-            worker=self.worker[index],
-            workers=self.workers,
-            messages=None
-            if self.messages is None
-            else tuple(self.messages[i] for i in index),
-        )
+        return _select(self, index)
 
     def with_worker(self, name: str) -> "ResponseBatch":
-        """Stamp one worker's attribution on every row (cluster delivery)."""
-        out = self.select(np.arange(len(self)))
-        out.workers = (name,)
-        out.worker = np.zeros(len(out), dtype=np.int16)
-        if out.messages is not None:
+        """These rows attributed to worker ``name`` (cluster delivery).
+
+        ``name`` is coded into this batch's ``workers`` table.  Only the
+        worker column is new; the other columns are shared with ``self``.
+        """
+        out = copy(self)
+        out.worker = np.full(len(self), self.workers.code(name), np.int16)
+        if self.messages is not None:
             # Rows carried as whole Response objects (rich per-answer
-            # blocks) must be stamped individually, like the columns.
+            # blocks) must be stamped individually, like the column.
             out.messages = tuple(
                 replace(m, worker=name) if isinstance(m, Response) else m
-                for m in out.messages
+                for m in self.messages
             )
         return out
 
     @classmethod
     def concat(cls, batches) -> "ResponseBatch":
-        """Concatenate batches, re-interning the string tables."""
+        """Concatenate batches coded against the same tables."""
         batches = [b for b in batches if len(b)]
-        if not batches:
-            return cls.empty()
-        if len(batches) == 1:
-            return batches[0]
-        clients, client_cols = _merge_tables([(b.client, b.clients) for b in batches])
-        models, model_cols = _merge_tables([(b.model, b.models) for b in batches])
-        workers, worker_cols = _merge_tables([(b.worker, b.workers) for b in batches])
-        any_msg = any(b.messages is not None for b in batches)
-        return cls(
-            request_id=np.concatenate([b.request_id for b in batches]),
-            client=np.concatenate(client_cols),
-            clients=clients,
-            model=np.concatenate(model_cols),
-            models=models,
-            status=np.concatenate([b.status for b in batches]),
-            reason=np.concatenate([b.reason for b in batches]),
-            completed=np.concatenate([b.completed for b in batches]),
-            mean=np.concatenate([b.mean for b in batches]),
-            spread=np.concatenate([b.spread for b in batches]),
-            p95=np.concatenate([b.p95 for b in batches]),
-            quality=np.concatenate([b.quality for b in batches]),
-            staleness=np.concatenate([b.staleness for b in batches]),
-            latency=np.concatenate([b.latency for b in batches]),
-            batch_size=np.concatenate([b.batch_size for b in batches]),
-            retry_after=np.concatenate([b.retry_after for b in batches]),
-            worker=np.concatenate(
-                [c.astype(np.int16) for c in worker_cols]
-            ),
-            workers=workers,
-            messages=None
-            if not any_msg
-            else tuple(
-                m for b in batches for m in (b.messages or (None,) * len(b))
-            ),
-        )
+        return _concat(cls, batches) if batches else cls.empty()
 
     def sorted_by_completion(self) -> "ResponseBatch":
         """Rows in completion order (stable, so ties keep arrival order)."""
@@ -654,7 +641,8 @@ def admit_batch(
             verdict[max(room, 0) :] = _VERDICT_QUEUE_FULL
         return verdict
 
-    token_ok = _token_scan(controller, batch, times, apply=False)
+    names, codes = batch.clients, batch.client
+    token_ok = _token_scan(controller, names, codes, times, apply=False)
     # Queue depth before request i counts earlier admissions; before the
     # cutoff "admitted" == "token_ok" (queue_full cannot fire yet).
     cum_before = np.cumsum(token_ok) - token_ok
@@ -665,61 +653,54 @@ def admit_batch(
         verdict[:cutoff][~token_ok[:cutoff]] = _VERDICT_THROTTLED
         # Replay bucket updates for the pre-cutoff prefix only: requests
         # shed queue_full never reach the bucket in the scalar order.
-        _token_scan(controller, batch.select(np.arange(cutoff)), times[:cutoff], apply=True)
+        _token_scan(controller, names, codes[:cutoff], times[:cutoff], apply=True)
     else:
         verdict[~token_ok] = _VERDICT_THROTTLED
-        _token_scan(controller, batch, times, apply=True)
+        _token_scan(controller, names, codes, times, apply=True)
     return verdict
 
 
 def _token_scan(
     controller: AdmissionController,
-    batch: RequestBatch,
+    names,
+    codes: np.ndarray,
     times: np.ndarray,
     *,
     apply: bool,
 ) -> np.ndarray:
-    """Round-wise vectorised token-bucket scan over one batch.
+    """Round-wise vectorised token-bucket scan over one batch's rows.
 
-    Returns the per-request grant mask.  With ``apply=False`` the
-    controller's buckets are left untouched (a what-if pass); with
+    ``codes`` index the client table ``names``; only the clients that
+    have rows are consulted, so the cost follows the batch, not the
+    table.  Returns the per-request grant mask.  With ``apply=False``
+    the controller's buckets are left untouched (a what-if pass); with
     ``apply=True`` the final per-client states are written back.
     """
     policy = controller.policy
-    n = len(batch)
-    codes = batch.client
-    n_clients = len(batch.clients)
-    # Gather bucket state per *distinct* client (creating buckets the
+    n = codes.shape[0]
+    present, first, group = np.unique(codes, return_index=True, return_inverse=True)
+    # Gather bucket state per client with rows (creating buckets the
     # scalar controller would create on first sight).
-    tokens = np.zeros(n_clients)
-    anchor = np.zeros(n_clients)
-    buckets: list[TokenBucket | None] = []
-    for c, client_id in enumerate(batch.clients):
-        rows = np.flatnonzero(codes == c)
-        if rows.size == 0:
-            # A table entry with no rows in this batch (e.g. a client
-            # whose every request fell past the queue cutoff): the
-            # scalar controller never consults its bucket, so neither
-            # do we — and crucially we must not *create* one.
-            buckets.append(None)
-            continue
+    tokens = np.empty(len(present))
+    anchor = np.empty(len(present))
+    buckets: list[TokenBucket] = []
+    for g, (code, row) in enumerate(zip(present.tolist(), first.tolist())):
+        client_id = names[code]
         bucket = controller._buckets.get(client_id)
         if bucket is None:
-            bucket = TokenBucket(
-                policy.client_rate, policy.client_burst, now=float(times[rows[0]])
-            )
+            bucket = TokenBucket(policy.client_rate, policy.client_burst, now=float(times[row]))
             if apply:
                 controller._buckets[client_id] = bucket
         buckets.append(bucket)
-        tokens[c] = bucket._tokens
-        anchor[c] = bucket._anchor
+        tokens[g] = bucket._tokens
+        anchor[g] = bucket._anchor
     # Rank each request within its client (arrival order).
-    ranks = _rank_within(codes, n_clients)
+    ranks = _rank_within(group, len(present))
     grant = np.zeros(n, dtype=bool)
     max_rank = int(ranks.max()) if n else -1
     for r in range(max_rank + 1):
         idx = np.flatnonzero(ranks == r)
-        c = codes[idx]
+        c = group[idx]
         t = times[idx]
         avail = np.minimum(
             policy.client_burst,
@@ -733,10 +714,9 @@ def _token_scan(
         anchor[c] = np.where(ok, np.maximum(anchor[c], t), anchor[c])
         grant[idx] = ok
     if apply:
-        for c, bucket in enumerate(buckets):
-            if bucket is not None:
-                bucket._tokens = float(tokens[c])
-                bucket._anchor = float(anchor[c])
+        for g, bucket in enumerate(buckets):
+            bucket._tokens = float(tokens[g])
+            bucket._anchor = float(anchor[g])
     return grant
 
 

@@ -56,6 +56,7 @@ from repro.serving.columnar import (
     STATUSES,
     RequestBatch,
     ResponseBatch,
+    Tables,
     admit_batch,
 )
 from repro.serving.forecasts import ForecastCache, SharedRefreshLedger
@@ -63,7 +64,6 @@ from repro.serving.metrics import MetricsRegistry
 from repro.serving.protocol import (
     DEGRADED_QUEUE_PRESSURE,
     SHED_DEADLINE,
-    ErrorResponse,
     PrecisionInfo,
     PredictRequest,
     PredictResponse,
@@ -297,9 +297,12 @@ def _summarise(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _unanswered(
-    batch: RequestBatch, status: int, completed, *, reason=0, retry_after=0.0, messages=None
+    batch: RequestBatch, workers, status: int, completed, *, reason=0, retry_after=0.0, messages=None
 ) -> ResponseBatch:
-    """Every row of ``batch`` as a shed or error response (scalars or columns)."""
+    """Every row of ``batch`` as a shed or error response (scalars or columns).
+
+    ``workers`` is the deployment's worker table: the rows are unattributed.
+    """
     n = len(batch)
     z = np.zeros(n)
     return ResponseBatch(
@@ -319,26 +322,28 @@ def _unanswered(
         latency=z,
         batch_size=np.zeros(n, np.int32),
         retry_after=np.full(n, retry_after),
+        workers=workers,
         messages=messages,
     )
 
 
-def validate_rows(batch: RequestBatch, models: dict) -> dict[int, tuple[str, str]]:
-    """Rows that break the input contract, as ``{row: (why, message)}`` in row order.
+def validate_rows(batch: RequestBatch, models: dict, tables: Tables) -> tuple[RequestBatch, dict]:
+    """``batch`` on the deployment ``tables``, and the rows that break the input contract.
 
-    The contract :class:`PredictRequest` enforces at construction (same
-    messages), plus what only columns can get wrong (codes outside the
-    intern tables) and what only the registry ``models`` (name ->
+    The one check at a deployment's front door: a standalone server
+    runs it in ``submit_batch``, a cluster runs it once and hands its
+    workers only valid rows.  :meth:`~repro.serving.columnar.Tables.adopt`
+    re-codes the batch and flags codes outside its own tables; the rest
+    is the contract :class:`PredictRequest` enforces at construction
+    (same messages) and what only the registry ``models`` (name ->
     :class:`ModelSpec`) knows: unknown models and overrides of
-    parameters a model does not sample.  Every entry point — a worker
-    and a cluster — refuses rows through this one check.
+    parameters a model does not sample.  Bad rows come back as
+    ``{row: (why, message)}`` in row order.
     """
+    ours, bad_client, bad_model = tables.adopt(batch)
     submitted, deadline = batch.submitted, batch.deadline
     bad_time = ~np.isfinite(submitted)
     late = deadline < submitted
-    # Negative codes wrap to huge unsigned ones: one bound check each.
-    bad_client = batch.client.view(np.uint32) >= len(batch.clients)
-    bad_model = batch.model.view(np.uint32) >= len(batch.models)
     suspect = bad_time | late | bad_client | bad_model
     if not all(m in models for m in batch.models):
         known = np.array([m in models for m in batch.models] + [True])
@@ -347,7 +352,7 @@ def validate_rows(batch: RequestBatch, models: dict) -> dict[int, tuple[str, str
         suspect |= np.fromiter((bool(o) for o in batch.overrides), bool, len(batch))
     out: dict[int, tuple[str, str]] = {}
     if not suspect.any():
-        return out
+        return ours, out
     for i in np.flatnonzero(suspect).tolist():
         t = float(submitted[i])
         if bad_time[i]:
@@ -378,30 +383,27 @@ def validate_rows(batch: RequestBatch, models: dict) -> dict[int, tuple[str, str
                     f"overrides {sorted(bad)} are not run-time parameters of "
                     f"{name!r} (run-time: {list(spec.sampled)})",
                 )
-    return out
+    return ours, out
 
 
-def rejection_errors(batch: RequestBatch, rejected: dict, clock: float) -> ResponseBatch:
-    """One :class:`ErrorResponse` per :func:`validate_rows` entry, in row order."""
-    errors = []
-    for i, (_, message) in rejected.items():
-        at = max(float(batch.submitted[i]), clock)
-        errors.append(
-            ErrorResponse(
-                request_id=int(batch.request_id[i]),
-                client_id=_table_name(batch.clients, batch.client[i]),
-                completed=at if np.isfinite(at) else clock,
-                message=message,
-            )
-        )
-    return ResponseBatch.from_responses(errors)
+def rejection_errors(batch: RequestBatch, rejected: dict, clock: float, workers) -> tuple:
+    """``(rows, responses)``: one ``ErrorResponse`` per :func:`validate_rows` entry."""
+    rows = np.fromiter(rejected, np.int64, len(rejected))
+    at = np.maximum(batch.submitted[rows], clock)
+    return rows, _unanswered(
+        batch.select(rows),
+        workers,
+        _ST_ERROR,
+        np.where(np.isfinite(at), at, clock),
+        messages=tuple(message for _, message in rejected.values()),
+    )
 
 
 def _in_row_order(parts: list) -> ResponseBatch:
-    """``(rows, ResponseBatch)`` parts merged back into row order."""
+    """``(rows, ResponseBatch)`` parts, each in row order, merged into row order."""
     if not parts:
         return ResponseBatch.empty()
-    if len(parts) == 1 and len(parts[0][0]) == 1:
+    if len(parts) == 1:
         return parts[0][1]
     rows = np.concatenate([r for r, _ in parts])
     merged = ResponseBatch.concat([rb for _, rb in parts])
@@ -432,6 +434,9 @@ class PredictionServer:
         )
         self.metrics = MetricsRegistry()
         self.admission = AdmissionController(self.config.admission)
+        # How this deployment codes client, model and worker names; a
+        # cluster replaces it with the one it shares with every worker.
+        self.tables = Tables()
         self._models: dict[str, ModelSpec] = {}
         # Admitted rows as RequestBatch segments in arrival order; the
         # event loop coalesces them into one segment before serving.
@@ -546,7 +551,7 @@ class PredictionServer:
         (unknown model, bad override); admitted requests are answered
         by a later :meth:`step`.
         """
-        immediate = self.submit_batch(RequestBatch.from_requests([request]))
+        immediate = self.submit_batch(self.tables.batch([request]))
         return immediate.response(0) if len(immediate) else None
 
     def step(self, to: float) -> list[Response]:
@@ -562,39 +567,50 @@ class PredictionServer:
         Returns the *immediate* responses in row order: an
         ``ErrorResponse`` per row that breaks the input contract
         (non-finite ``submitted``, a deadline before submission, a model
-        or client code outside its intern table, an unknown model, an
-        override of a parameter the model does not sample) and an
-        ``OverloadedResponse`` per row admission sheds.  Admitted rows
-        queue for :meth:`step_batch`.  Verdicts — and the token-bucket
-        state left behind — are identical to submitting the rows one at
-        a time.
+        or client code outside its table, an unknown model, an override
+        of a parameter the model does not sample; see
+        :func:`validate_rows`) and an ``OverloadedResponse`` per row
+        admission sheds.  Admitted rows queue for :meth:`step_batch`.
+        Verdicts — and the token-bucket state left behind — are
+        identical to submitting the rows one at a time.
 
         With a tracer installed, every admitted row opens a ``request``
         span (its own trace) that stays open until the answer is
         delivered; rejected rows record an instant ``serving.reject``
         span instead.
         """
-        n = len(batch)
-        if n == 0:
+        if len(batch) == 0:
             return ResponseBatch.empty()
-        self.metrics.counter("requests_total").inc(n)
-        now = np.maximum(batch.submitted, self._clock)
-        rows = np.arange(n)
+        batch, rejected = validate_rows(batch, self._models, self.tables)
+        rows = np.arange(len(batch))
         parts: list = []
-
-        rejected = validate_rows(batch, self._models)
-        valid = batch
         if rejected:
+            self.metrics.counter("requests_total").inc(len(rejected))
             self.metrics.counter("errors_total").inc(len(rejected))
-            bad = np.fromiter(rejected, np.int64, len(rejected))
-            parts.append((bad, rejection_errors(batch, rejected, self._clock)))
-            rows = np.delete(rows, bad)
-            valid, now = batch.select(rows), now[rows]
+            parts.append(rejection_errors(batch, rejected, self._clock, self.tables.workers))
+            rows = np.delete(rows, parts[0][0])
+        shed = self._admit(batch, rows, rejected)
+        if shed is not None:
+            parts.append(shed)
+        return _in_row_order(parts)
 
+    def _admit(self, batch: RequestBatch, rows: np.ndarray, rejected: dict) -> tuple | None:
+        """Admission control for the valid rows ``rows`` of ``batch``.
+
+        ``batch`` is already on this deployment's tables and ``rows``
+        passed :func:`validate_rows` (a cluster validates once and hands
+        each worker its rows here).  Admitted rows queue for
+        :meth:`step_batch`; returns ``(rows, responses)`` for the rows
+        admission sheds, or ``None``.  ``rejected`` only places reject
+        spans in row order when tracing.
+        """
+        self.metrics.counter("requests_total").inc(len(rows))
+        valid = batch if len(rows) == len(batch) else batch.select(rows)
         verdict = admit_batch(self.admission, valid, self._queued, self._clock)
         if self.tracer.enabled:
-            self._trace_submissions(batch, rejected, iter(verdict.tolist()))
+            self._trace_submissions(batch, rows, verdict, rejected)
         admitted = verdict == ADMIT
+        part = None
         if not admitted.all():
             shed = ~admitted
             self.metrics.counter("shed_total").inc(int(shed.sum()))
@@ -605,37 +621,40 @@ class PredictionServer:
             # Each shed row's retry hint reads the queue depth at its
             # own instant in the submission order.
             depth_at = self._queued + np.cumsum(admitted) - admitted
+            gone = valid.select(shed)
             answers = _unanswered(
-                valid.select(shed),
+                gone,
+                self.tables.workers,
                 _ST_OVERLOADED,
-                now[shed],
+                np.maximum(gone.submitted, self._clock),
                 reason=verdict[shed],
                 retry_after=depth_at[shed] / self.config.drain_rate(),
             )
-            parts.append((rows[shed], answers))
+            part = (rows[shed], answers)
             valid = valid.select(admitted)
         if len(valid):
             self._queue.append(valid)
             self._queued += len(valid)
             self.metrics.gauge("queue_depth").set(self._queued)
-        return _in_row_order(parts)
+        return part
 
-    def _trace_submissions(self, batch, rejected: dict, verdicts) -> None:
-        """Per row, in submission order: a ``request`` span or a reject span.
+    def _trace_submissions(self, batch, rows, verdict, rejected: dict) -> None:
+        """Per row, in row order: a ``request`` span or a reject span.
 
-        ``verdicts`` yields the admission verdict of each row not in
-        ``rejected``, in row order.
+        ``rows`` are the rows admission ruled on (``verdict`` each),
+        ``rejected`` the rows refused before admission.
         """
-        for i in range(len(batch)):
+        verdicts = dict(zip(rows.tolist(), verdict.tolist()))
+        for i in sorted([*verdicts, *rejected]):
             rid = int(batch.request_id[i])
-            client = _table_name(batch.clients, batch.client[i])
-            model = _table_name(batch.models, batch.model[i])
+            client = batch.clients[batch.client[i]]
+            model = batch.models[batch.model[i]]
             at = max(float(batch.submitted[i]), self._clock)
             if i in rejected:
                 outcome = f"error:{rejected[i][0]}"
                 at = at if np.isfinite(at) else self._clock
-            elif (verdict := next(verdicts)) != ADMIT:
-                outcome = f"shed:{REASONS[verdict]}"
+            elif (code := verdicts[i]) != ADMIT:
+                outcome = f"shed:{REASONS[code]}"
             else:
                 self._req_spans[(client, rid)] = self.tracer.start_span(
                     "request",
@@ -705,7 +724,9 @@ class PredictionServer:
         self.metrics.counter(f"shed_{SHED_DEADLINE}").inc(n)
         retry = self.admission.retry_after(self._queued, self.config.drain_rate())
         self._parked.append(
-            _unanswered(gone, _ST_OVERLOADED, t, reason=_RE_DEADLINE, retry_after=retry)
+            _unanswered(
+                gone, self.tables.workers, _ST_OVERLOADED, t, reason=_RE_DEADLINE, retry_after=retry
+            )
         )
         if self.tracer.enabled:
             for client, rid in zip(gone.client.tolist(), gone.request_id.tolist()):
@@ -984,6 +1005,7 @@ class PredictionServer:
                     latency=latency,
                     batch_size=np.full(k, k, np.int32),
                     retry_after=np.zeros(k),
+                    workers=self.tables.workers,
                     messages=messages,
                 )
             )
@@ -993,7 +1015,9 @@ class PredictionServer:
             t_done = t_start + cfg.service_time(k)
             message = f"evaluation failed: {type(exc).__name__}: {exc}"
             self._parked.append(
-                _unanswered(batch, _ST_ERROR, t_done, messages=(message,) * k)
+                _unanswered(
+                    batch, self.tables.workers, _ST_ERROR, t_done, messages=(message,) * k
+                )
             )
             return t_done, 0
 
@@ -1333,8 +1357,3 @@ class PredictionServer:
         if self.calib is not None:
             doc["calibration"] = self.calib.summary()
         return _sanitise(doc)
-
-
-def _table_name(table: tuple, code) -> str:
-    """``table[code]``, or ``""`` for a code outside the table."""
-    return table[code] if 0 <= code < len(table) else ""

@@ -17,11 +17,13 @@ from repro.serving import (
     Histogram,
     LoadDriver,
     PredictRequest,
+    RequestBatch,
     ServerConfig,
     demo_cluster,
     demo_server,
 )
-from repro.serving.protocol import SHED_THROTTLED, SHED_UNAVAILABLE
+from repro.serving.admission import AdmissionPolicy
+from repro.serving.protocol import SHED_QUEUE_FULL, SHED_THROTTLED, SHED_UNAVAILABLE
 from repro.serving.router import ClusterRouter, HashRing, bindings_fingerprint, stable_hash
 from repro.structural.parameters import Bindings
 
@@ -186,6 +188,35 @@ class TestClusterAdmission:
         assert resp is not None and resp.status == "overloaded"
         assert resp.reason == SHED_UNAVAILABLE
         assert resp.retry_after == float("inf")
+
+    def test_duplicate_keys_in_one_batch_answer_their_own_rows(self):
+        # Two rows share (client_id, request_id).  The worker sheds the
+        # second one queue_full; that answer belongs to row 2, so row 1's
+        # cluster-shed retry hint counts row 0 as admitted ahead of it.
+        # The batch surface must answer exactly as one-at-a-time submits.
+        config = ClusterConfig(
+            n_workers=1,
+            replication=1,
+            cluster_rate=1.0,
+            cluster_burst=1.0,
+            worker=ServerConfig(admission=AdmissionPolicy(max_queue=1)),
+        )
+        scalar, _, _ = demo_cluster(duration=300.0, config=config, rng=3)
+        batched, _, _ = demo_cluster(duration=300.0, config=config, rng=3)
+        t = scalar.now
+        rows = [
+            PredictRequest(request_id=0, client_id="a", model="sor-600", submitted=t),
+            PredictRequest(request_id=1, client_id="b", model="sor-600", submitted=t + 0.1),
+            PredictRequest(request_id=0, client_id="a", model="sor-600", submitted=t + 1.1),
+        ]
+        one_by_one = [r for r in map(scalar.submit, rows) if r is not None]
+        at_once = batched.submit_batch(RequestBatch.from_requests(rows)).to_responses()
+        assert [(r.client_id, r.reason) for r in one_by_one] == [
+            ("b", SHED_THROTTLED),
+            ("a", SHED_QUEUE_FULL),
+        ]
+        assert one_by_one[0].retry_after == pytest.approx(1.0 / config.worker.drain_rate())
+        assert at_once == one_by_one
 
 
 class TestWorkerHooks:

@@ -59,7 +59,33 @@ from repro.structural.repeaters import PrecisionTarget
 
 CLIENTS = ("ann", "bob", "cyd", "dee")
 MODELS = ("sor-600", "sor-1000", "sor-1600")
+#: Names no generated row uses: tables that list them carry unused entries.
+UNUSED = ("eve", "fay", "gus")
 _PRECISION = PrecisionTarget.parse("p95:2%")
+
+
+def _recoded(batch, clients, models):
+    """``batch`` with its codes pointed into the tables ``clients``/``models``."""
+    return RequestBatch(
+        request_id=batch.request_id,
+        client=[list(clients).index(batch.clients[c]) for c in batch.client.tolist()],
+        clients=clients,
+        model=[list(models).index(batch.models[m]) for m in batch.model.tolist()],
+        models=models,
+        submitted=batch.submitted,
+        deadline=batch.deadline,
+        overrides=batch.overrides,
+        precision=batch.precision,
+    )
+
+
+def _wide_tables(batch, random):
+    """``batch`` on its own shuffled tables that also list names no row uses."""
+    clients = [*CLIENTS, *UNUSED]
+    models = [*dict.fromkeys([*batch.models, *MODELS]), "sor-unused"]
+    random.shuffle(clients)
+    random.shuffle(models)
+    return _recoded(batch, tuple(clients), tuple(models))
 
 
 # ----------------------------------------------------------------------
@@ -189,6 +215,23 @@ class TestRoundTrip:
         assert batch.deadline[0] == NO_DEADLINE
         assert batch.request(0).deadline is None
 
+    def test_concat_refuses_batches_on_different_tables(self):
+        # Batches inside a deployment share its tables; concatenation is
+        # plain array work and never re-codes names.
+        req = PredictRequest(request_id=1, client_id="ann", model="m", submitted=0.0)
+        a, b = RequestBatch.from_requests([req]), RequestBatch.from_requests([req])
+        assert RequestBatch.concat([a, a.select([0])]).to_requests() == [req, req]
+        with pytest.raises(ValueError, match="different clients tables"):
+            RequestBatch.concat([a, b])
+        resp = ErrorResponse(request_id=1, client_id="ann", completed=0.0, message="x")
+        ra, rb = ResponseBatch.from_responses([resp]), ResponseBatch.from_responses([resp])
+        assert ResponseBatch.concat([ra, ra.with_worker("w")]).to_responses() == [
+            resp,
+            replace(resp, worker="w"),
+        ]
+        with pytest.raises(ValueError, match="different clients tables"):
+            ResponseBatch.concat([ra, rb])
+
     def test_rich_response_blocks_ride_verbatim(self):
         # precision / distribution / failover blocks don't columnise;
         # the view must hand back the original object untouched.
@@ -221,9 +264,10 @@ class TestAdmissionParity:
         burst=st.floats(min_value=1.0, max_value=4.0),
         queue_depth=st.integers(min_value=0, max_value=6),
         clock=st.floats(min_value=0.0, max_value=10.0),
+        random=st.randoms(use_true_random=False),
     )
     def test_verdicts_and_buckets_match_scalar_controller(
-        self, reqs, max_queue, rate, burst, queue_depth, clock
+        self, reqs, max_queue, rate, burst, queue_depth, clock, random
     ):
         policy = AdmissionPolicy(
             max_queue=max_queue, client_rate=rate, client_burst=burst
@@ -239,13 +283,16 @@ class TestAdmissionParity:
             if reason is None:
                 depth += 1
 
-        batch = RequestBatch.from_requests(reqs)
+        # Tables wider than the batch (as a deployment's are): admission
+        # consults only the clients that have rows.
+        batch = _wide_tables(RequestBatch.from_requests(reqs), random)
         verdicts = admit_batch(vector, batch, queue_depth, clock)
         assert verdicts.tolist() == expected
 
         # Not just the verdicts: the buckets left behind must be the
         # same buckets, so the *next* batch decides identically too.
         assert set(scalar._buckets) == set(vector._buckets)
+        assert set(vector._buckets) <= {r.client_id for r in reqs}
         for cid, b in scalar._buckets.items():
             v = vector._buckets[cid]
             assert (b._tokens, b._anchor) == (v._tokens, v._anchor), cid
@@ -305,6 +352,16 @@ def _equivalence_config():
         batch_max=16,
         admission=AdmissionPolicy(max_queue=48, client_rate=40.0, client_burst=4.0),
     )
+
+
+def _response_columns(rb):
+    """Every column of ``rb``: value bytes, decoded names, the sidecar."""
+    cols = {name: getattr(rb, name).tobytes() for name in ResponseBatch.COLUMNS}
+    for name in ("client", "model", "worker"):  # codes differ; the names must not
+        table = getattr(rb, f"{name}s")
+        cols[name] = [table[code] for code in getattr(rb, name).tolist()]
+    cols["messages"] = rb.messages
+    return cols
 
 
 def _victim(cluster):
@@ -439,6 +496,61 @@ class TestPathEquivalence:
             names = [Counter(sp.name for sp in c.tracer.spans) for c in (c_scalar, c_columnar)]
             assert names[0] == names[1] and names[0]["cluster.deliver"] > 0
 
+    @pytest.mark.parametrize("setup", ["server", "cluster-crash"])
+    def test_foreign_tables_answer_like_shared_tables_and_per_request(self, setup):
+        # The same stream three ways: batches on their own shuffled tables
+        # with unused entries, batches on the deployment's own tables, and
+        # one request at a time.  How a caller codes names must not move
+        # an answer, a worker attribution or a counter.
+        import random
+
+        rng = random.Random(3)
+
+        def build():
+            if setup == "server":
+                return demo_server(config=_equivalence_config(), rng=5)[0]
+            return _cluster(crash=True)
+
+        def foreign(deployment, due):
+            return _wide_tables(RequestBatch.from_requests(due), rng)
+
+        def shared(deployment, due):
+            tables = deployment.tables
+            tables.clients.codes([r.client_id for r in due])
+            tables.models.codes([r.model for r in due])
+            return _recoded(RequestBatch.from_requests(due), tables.clients, tables.models)
+
+        runs = {}
+        for name, make in (("foreign", foreign), ("shared", shared), ("scalar", None)):
+            deployment = build()
+            t0 = deployment.now
+            reqs = _mixed_requests(deployment.models, n=200, t0=t0)
+            answers, pos = [], 0
+            for k in range(1, 301):
+                to = t0 + 0.1 * k
+                due = [r for r in reqs[pos:] if r.submitted <= to]
+                pos += len(due)
+                if make is None:
+                    answers += [r for r in map(deployment.submit, due) if r is not None]
+                    answers += deployment.step(to)
+                    continue
+                if due:
+                    answers.append(deployment.submit_batch(make(deployment, due)))
+                answers.append(deployment.step_batch(to))
+            snapshot = deployment.snapshot()
+            counters = snapshot.get("metrics", snapshot.get("cluster"))["counters"]
+            runs[name] = (answers, counters)
+
+        (foreign_rbs, c_foreign), (shared_rbs, c_shared), (scalar, c_scalar) = runs.values()
+        merged = [ResponseBatch.concat(rbs) for rbs in (foreign_rbs, shared_rbs)]
+        columns = [_response_columns(rb) for rb in merged]
+        assert columns[0] == columns[1]
+        assert merged[0].to_responses() == scalar
+        assert c_foreign == c_shared == c_scalar
+        assert c_scalar["responses_ok"] > 0
+        if setup == "cluster-crash":
+            assert c_scalar["failovers_total"] > 0
+
     def test_ragged_rows_fall_back_to_scalar_path(self):
         # Overrides/precision don't vectorise; submit_batch must split
         # them off and answer them exactly like scalar submissions.
@@ -556,9 +668,15 @@ def _probe_rows(model, t0, bad_row):
 _BAD_ROWS = {
     "nan-submitted": ({"submitted": np.nan}, "submitted must be finite, got nan"),
     "deadline-before-submitted": ({"deadline": -1.0}, "must be >= submitted"),
-    "model-code-outside-table": ({"model": 7}, "model code 7 is outside the model table"),
-    "negative-model-code": ({"model": -1}, "model code -1 is outside the model table"),
-    "unknown-model": ({"model": 1, "models": None}, "unknown model 'nope'"),
+    "model-code-outside-table": (
+        {"model": 7},
+        "model code 7 is outside the model table (1 entries)",
+    ),
+    "negative-model-code": ({"model": -1}, "model code -1 is outside the model table (1 entries)"),
+    "unknown-model": (
+        {"model": 1, "models": None},
+        "unknown model 'nope'; registered: ['sor-1000', 'sor-1600', 'sor-600']",
+    ),
     "bad-override": (
         {"overrides": ({}, {"nope": 1.0}, {})},
         "overrides ['nope'] are not run-time parameters",
@@ -591,6 +709,27 @@ class TestRowValidation:
         assert (counters["requests_total"], counters["errors_total"]) == (3, 1)
         handed = sum(w.metrics.counter("requests_total").value for w in cluster.workers.values())
         assert handed == 2
+
+    def test_cluster_validates_each_row_once(self, monkeypatch):
+        # The cluster checks a batch at its front door and hands each
+        # worker its rows without a second validate_rows pass.
+        import repro.serving.cluster as cluster_module
+        import repro.serving.server as server_module
+
+        seen, real = [], server_module.validate_rows
+
+        def counted(batch, *args):
+            seen.append(len(batch))
+            return real(batch, *args)
+
+        monkeypatch.setattr(server_module, "validate_rows", counted)
+        monkeypatch.setattr(cluster_module, "validate_rows", counted)
+        cluster, _, _ = demo_cluster(duration=300.0, rng=5)
+        reqs = _mixed_requests(cluster.models, n=30, t0=cluster.now)
+        cluster.submit_batch(RequestBatch.from_requests(reqs))
+        assert seen == [30]
+        handed = [w.metrics.counter("requests_total").value for w in cluster.workers.values()]
+        assert sum(handed) == 30 and sum(1 for h in handed if h) >= 2
 
     def _submit(self, columns):
         server, _, _ = demo_server(rng=5)
@@ -625,8 +764,9 @@ class TestRowValidation:
         by_id = {r.request_id: r for r in immediate}
         assert sorted(by_id) == [1, 2]
         assert all(r.status == "error" for r in by_id.values())
-        assert "model code 7" in by_id[1].message
-        assert "client code -1" in by_id[2].message and by_id[2].client_id == ""
+        assert by_id[1].message == "model code 7 is outside the model table (1 entries)"
+        assert by_id[2].message == "client code -1 is outside the client table (1 entries)"
+        assert by_id[2].client_id == ""
         assert [r.request_id for r in served] == [0]
         assert server.metrics.counter("errors_total").value == 2
 

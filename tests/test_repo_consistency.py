@@ -1,5 +1,6 @@
 """Repo-level consistency: docs, benches, and public API stay in sync."""
 
+import importlib.util
 import re
 from pathlib import Path
 
@@ -20,6 +21,27 @@ import repro.structural
 import repro.workload
 
 ROOT = Path(__file__).parent.parent
+
+
+class TestPerfbenchLayers:
+    def test_layer_clock_wraps_and_restores_every_target(self, monkeypatch):
+        # `perfbench/run.py --trace 1` times library entry points it binds
+        # by attribute name; a renamed or deleted one must fail here, not
+        # silently drop out of the layer report.
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        spec = importlib.util.spec_from_file_location("layers", ROOT / "perfbench" / "layers.py")
+        layers = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layers)
+        targets = [(owner, name, owner.__dict__[name]) for _, owner, name, _ in layers.TARGETS]
+        clock = layers.LayerClock()
+        clock.install()
+        try:
+            for owner, name, raw in targets:
+                assert owner.__dict__[name] is not raw, f"{owner.__name__}.{name} not wrapped"
+        finally:
+            clock.uninstall()
+        for owner, name, raw in targets:
+            assert owner.__dict__[name] is raw, f"{owner.__name__}.{name} not restored"
 
 
 class TestDesignDocument:
